@@ -57,6 +57,7 @@ from .protocol import (
     timing_tolerance,
 )
 from .state import (
+    NumericalHealthError,
     Representation,
     StateVector,
     fock_state,

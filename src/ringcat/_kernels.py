@@ -1,15 +1,9 @@
-"""Hot numeric kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Hot numeric kernel: numba-jitted fast path with a pure-numpy fallback.
 
-Two kernels dominate runtime: building the N-particle lift of a 3x3 mode
-matrix and scanning protocol probabilities over dense hold-phase grids.
-Both exist in a numba and a numpy variant with identical semantics.
-
-The lift is built by recursion over particle-number sectors: the column for
-mode occupation m with m_k > 0 is the mode-k creation operator applied to
-the (N-1)-particle column for m - e_k, divided by sqrt(m_k).  Every
-intermediate column is a normalized state, so no large factorials or
-cancelling sums ever appear and the result stays unitary to machine
-precision even for tall sectors.
+Scanning protocol probabilities over dense hold-phase grids dominates the
+runtime of the timing and calibration searches, so it exists in a numba
+and a numpy variant with identical semantics.  (The Fock lift, the other
+hot path, is plain numpy in the modes module.)
 
 Backend selection happens at import time.  Set the environment variable
 ``RINGCAT_DISABLE_NUMBA=1`` to force the numpy path; otherwise numba is used
@@ -26,9 +20,7 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "HAVE_NUMBA",
-    "lift_columns",
     "protocol_sweep",
-    "lift_columns_numpy",
     "protocol_sweep_numpy",
 ]
 
@@ -48,65 +40,9 @@ except ImportError:
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
-def _sector_occupations(n: int) -> np.ndarray:
-    # local copy of the canonical enumeration; kernels stay import-light
-    occ = np.empty((((n + 1) * (n + 2)) // 2, 3), dtype=np.int64)
-    i = 0
-    for n0 in range(n, -1, -1):
-        for n1 in range(n - n0, -1, -1):
-            occ[i] = (n0, n1, n - n0 - n1)
-            i += 1
-    return occ
-
-
-def _rank_in_sector(occ: np.ndarray, n: int) -> np.ndarray:
-    m = n - occ[..., 0]
-    return (m * (m + 1)) // 2 + (m - occ[..., 1])
-
-
-def _sector_plan(n: int):
-    """Static metadata for one recursion step from sector n-1 to sector n.
-
-    Returns (targets, sqrtw, kchoice, parent, colnorm): scatter targets and
-    weights for the three creation operators acting on sector n-1, and per
-    column of sector n the mode applied, the parent column, and the
-    1/sqrt(m_k) normalization.
-    """
-    occ = _sector_occupations(n)
-    prev = _sector_occupations(n - 1)
-    eye = np.eye(3, dtype=np.int64)
-    targets = np.stack([_rank_in_sector(prev + eye[j], n) for j in range(3)], axis=1)
-    sqrtw = np.sqrt(prev + 1).astype(np.float64)
-    kchoice = np.where(occ[:, 2] > 0, 2, np.where(occ[:, 1] > 0, 1, 0)).astype(np.int64)
-    parent = _rank_in_sector(occ - eye[kchoice], n - 1)
-    colnorm = 1.0 / np.sqrt(occ[np.arange(occ.shape[0]), kchoice].astype(np.float64))
-    return targets, sqrtw, kchoice, parent, colnorm
-
-
 # ---------------------------------------------------------------------------
-# numpy reference implementations
+# numpy reference implementation
 # ---------------------------------------------------------------------------
-
-def _sector_step_numpy(prev_cols, fconj, targets, sqrtw, kchoice, parent, colnorm):
-    dim = int(targets.max()) + 1
-    out = np.zeros((dim, kchoice.shape[0]), dtype=np.complex128)
-    for c in range(kchoice.shape[0]):
-        k = kchoice[c]
-        v = prev_cols[:, parent[c]]
-        col = out[:, c]
-        for j in range(3):
-            # s -> s + e_j is injective, so plain fancy indexing accumulates safely
-            col[targets[:, j]] += (fconj[k, j] * colnorm[c]) * (sqrtw[:, j] * v)
-    return out
-
-
-def lift_columns_numpy(fconj: np.ndarray, n: int) -> np.ndarray:
-    """Columns of the n-particle mode Fock states in the site basis."""
-    cols = np.ones((1, 1), dtype=np.complex128)
-    for m in range(1, n + 1):
-        cols = _sector_step_numpy(cols, fconj, *_sector_plan(m))
-    return cols
-
 
 def protocol_sweep_numpy(
     ground: np.ndarray,
@@ -141,32 +77,6 @@ def protocol_sweep_numpy(
 if HAVE_NUMBA:
 
     @njit(cache=True)
-    def _sector_step_jit(prev_cols, fconj, targets, sqrtw, kchoice, parent, colnorm, out):
-        ncols = kchoice.shape[0]
-        prev_dim = targets.shape[0]
-        for c in range(ncols):
-            k = kchoice[c]
-            pc = parent[c]
-            for s in range(prev_dim):
-                v = prev_cols[s, pc]
-                if v != 0.0:
-                    for j in range(3):
-                        out[targets[s, j], c] += fconj[k, j] * sqrtw[s, j] * v
-            for r in range(out.shape[0]):
-                out[r, c] *= colnorm[c]
-
-    def lift_columns(fconj, n):
-        fconj = np.ascontiguousarray(fconj, dtype=np.complex128)
-        cols = np.ones((1, 1), dtype=np.complex128)
-        for m in range(1, n + 1):
-            targets, sqrtw, kchoice, parent, colnorm = _sector_plan(m)
-            dim = ((m + 1) * (m + 2)) // 2
-            out = np.zeros((dim, kchoice.shape[0]), dtype=np.complex128)
-            _sector_step_jit(cols, fconj, targets, sqrtw, kchoice, parent, colnorm, out)
-            cols = out
-        return cols
-
-    @njit(cache=True)
     def _protocol_sweep_jit(ground, half, wconj, thetas, out):
         dim = ground.shape[0]
         for t in range(thetas.shape[0]):
@@ -197,5 +107,4 @@ if HAVE_NUMBA:
         return out
 
 else:
-    lift_columns = lift_columns_numpy
     protocol_sweep = protocol_sweep_numpy

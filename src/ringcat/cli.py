@@ -8,7 +8,10 @@ digits; JSON mirrors the same fields.
 
 Exit codes: 0 success, 2 invalid configuration, 3 physics precondition
 violated (for example a particle number that is not a multiple of three
-where the protocol requires one).
+where the protocol requires one), 4 numerical health check failed (a
+state norm or a probability sum drifted from 1 beyond its tolerance).
+Malformed flags, including non-finite or zero-denominator angles, are
+refused by the argument parser with exit code 2.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .protocol import (
     sweep_protocol_probabilities,
     timing_tolerance,
 )
-from .state import site_number_distribution, superfluid_ground_state
+from .state import NumericalHealthError, site_number_distribution, superfluid_ground_state
 
 __all__ = ["main"]
 
@@ -43,15 +46,32 @@ class PhysicsError(ValueError):
     """A physically required precondition does not hold for this config."""
 
 
+def _finite_float(text: str) -> float:
+    """A float flag value; nan and inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_pi(text: str) -> float:
     """Angle in units of pi, as a float or an exact rational like '2/3'."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        value = float(int(num)) / float(int(den))
-    else:
-        value = float(text)
-    return value * math.pi
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            value = float(int(num)) / float(int(den))
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"not an angle in units of pi: {text!r} ({exc})") from None
+    value *= math.pi
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -67,7 +87,7 @@ def _fmt(value) -> str:
 def _check_unit_sum(values, label: str, tol: float = SUM_TOL) -> None:
     total = float(np.sum(values))
     if abs(total - 1.0) > tol:
-        raise ValueError(f"{label} sums to {total!r}, expected 1 within {tol}")
+        raise NumericalHealthError(f"{label} sums to {total!r}, expected 1 within {tol}")
 
 
 def _emit(args, columns, rows, summary=None) -> None:
@@ -236,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta-pi", dest="theta", type=_parse_pi, default=2.0 * math.pi / 3.0,
                    help="hold phase in units of pi (default 2/3)")
-    p.add_argument("--delta", type=float, default=0.0,
+    p.add_argument("--delta", type=_finite_float, default=0.0,
                    help="fractional timing error; hold phase becomes (1+delta)*theta")
     common(p)
     p.set_defaults(func=cmd_cat)
@@ -250,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timing", help="timing tolerance delta0 for each n and the scaling fit")
     p.add_argument("--n", required=True, help="comma-separated multiples of 3, e.g. 3,6,9")
-    p.add_argument("--c-target", type=float, default=0.9)
+    p.add_argument("--c-target", type=_finite_float, default=0.9)
     common(p)
     p.set_defaults(func=cmd_timing)
 
@@ -264,9 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fringes", help="interferometer fringes over a rotation-coupling grid")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=0.0, help="hopping energy during the sensing hold")
-    p.add_argument("--xi", type=float, default=2.0 * math.pi, help="largest rotation coupling")
-    p.add_argument("--dt", type=float, default=1.0, help="sensing hold duration")
+    p.add_argument("--j", type=_finite_float, default=0.0, help="hopping energy during the sensing hold")
+    p.add_argument("--xi", type=_finite_float, default=2.0 * math.pi, help="largest rotation coupling")
+    p.add_argument("--dt", type=_finite_float, default=1.0, help="sensing hold duration")
     p.add_argument("--grid", type=int, default=256)
     common(p)
     p.set_defaults(func=cmd_fringes)
@@ -282,6 +302,9 @@ def main(argv=None) -> int:
     except PhysicsError as exc:
         print(f"ringcat: {exc}", file=sys.stderr)
         return 3
+    except NumericalHealthError as exc:
+        print(f"ringcat: numerical health check failed: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"ringcat: {exc}", file=sys.stderr)
         return 2

@@ -8,22 +8,29 @@ periodic boundary makes these three modes a complete basis: shifting the
 momentum label by three leaves the mode unchanged.
 
 For N particles the mode change acts on the symmetric Fock space as the
-N-th symmetric tensor power of F.  The lift is built by recursion over
-particle-number sectors (one creation operator per step; see the kernels
-module), every intermediate being a normalized state, so it stays unitary
-to machine precision.  The resulting dense matrix maps site amplitudes to
-momentum amplitudes; lifts compose the way the 3x3 matrices do, which the
-test suite checks rather than assumes.
+N-th symmetric tensor power of F.  The lift is never formed as a dense
+matrix on the way.  Givens eliminations (Reck et al., PRL 73, 58, 1994)
+factor F as D0 X D1 X D2 X D3: the Ds are diagonal phases and each X is
+exp(i theta sigma_x) on one pair of modes.  A diagonal D lifts to the
+phase prod_k d_k^(n_k) on each basis ket.  A two-mode X keeps the
+spectator occupation fixed, and on the (K + 1) kets with K particles in
+the pair it acts as exp(i theta T_K).  T_K is the real tridiagonal hopping
+generator a_p^dag a_q + h.c., the Schwinger-boson 2 J_x, with exact
+eigenvalues -K, -K + 2, ..., K.  One ``eigh`` of each T_K (Feng et al.,
+PRE 92, 043307, 2015) therefore serves every rotation angle and both
+directions.  Applying the lift costs O(N^3) and needs O(N^3) memory.  The
+norm and round-trip defects on random vectors stay at the 1e-15 level
+through N = 150, which the test suite checks.  Lifts compose the way the
+3x3 matrices do, which the tests check rather than assume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .basis import dimension, enumerate_basis, multinomial_amplitudes
 from .state import Representation, StateVector
 
@@ -36,6 +43,12 @@ __all__ = [
     "extremal_mode_probabilities",
     "momentum_distribution",
 ]
+
+# mode pairs (p, q) of the three Givens rotations, in the order they act
+_PAIRS = ((1, 2), (0, 1), (1, 2))
+# columns of the dense matrix built per batch, which bounds the workspace
+_MATRIX_BATCH = 256
+
 
 # ranks of the three extremal occupations (n,0,0), (0,n,0), (0,0,n)
 def _extremal_ranks(n: int) -> tuple[int, int, int]:
@@ -53,26 +66,185 @@ def dft_mode_matrix() -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class FockLift:
-    """Dense N-particle unitary induced by a 3x3 mode matrix.
+def _givens_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of f = D0 X(t0) D1 X(t1) D2 X(t2) D3 with the X on ``_PAIRS``.
 
-    ``matrix`` maps site-representation amplitudes to momentum-representation
-    amplitudes over the canonical basis.
+    X(t) is exp(i t sigma_x) on its mode pair and Dk = diag(exp(i phi_k)).
+    Returns (thetas (3,), phis (4, 3)).  An entry that is already zero gives
+    t = 0 and zero phases, so the identity factors exactly.
+    """
+    m = np.array(f, dtype=np.complex128)
+    thetas = np.zeros(3)
+    zetas = np.zeros((3, 3))  # Givens i is Z_i X Z_i^dag with Z_i = diag(exp(i zetas[i]))
+    # zero m[2,0], then m[1,0], then m[2,1]: the remainder is diagonal
+    for i, ((p, q), col) in enumerate(zip(_PAIRS, (0, 0, 1))):
+        a, b = m[p, col], m[q, col]
+        if b == 0:
+            continue
+        r = np.hypot(abs(a), abs(b))
+        if a == 0:
+            c, s = 0.0, b / abs(b)
+        else:
+            c = abs(a) / r
+            s = (b / r) * (np.conj(a) / abs(a))
+        thetas[i] = np.arctan2(abs(s), c)
+        zetas[i, q] = np.angle(-1j * s)
+        rows = m[[p, q]]
+        m[p] = c * rows[0] + np.conj(s) * rows[1]
+        m[q] = -s * rows[0] + c * rows[1]
+    d = np.angle(np.diag(m))
+    phis = np.stack([zetas[0], zetas[1] - zetas[0], zetas[2] - zetas[1], d - zetas[2]])
+    return thetas, phis
+
+
+@lru_cache(maxsize=None)
+def _hopping_eigenbases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of T_K for K = 0..n, zero-padded to (n+1, n+1, n+1).
+
+    Returns (V, eigenvalues): ``V[K]`` holds the eigenvectors of T_K
+    in its leading (K+1) x (K+1) block, over kets ordered by the second
+    mode's occupation t.  The eigenvalues are set to their exact values
+    -K, -K+2, ..., K, the ascending order ``eigh`` returns them in.
+    """
+    vecs = np.zeros((n + 1, n + 1, n + 1))
+    lam = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        t = np.arange(1, k + 1)
+        hop = np.sqrt(t * (k - t + 1.0))
+        gen = np.diag(hop, 1) + np.diag(hop, -1)
+        vecs[k, : k + 1, : k + 1] = np.linalg.eigh(gen)[1]
+        lam[k, : k + 1] = np.arange(-k, k + 1, 2)
+    for a in (vecs, lam):
+        a.setflags(write=False)
+    return vecs, lam
+
+
+@lru_cache(maxsize=None)
+def _pair_layout(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded block layout of the basis for a rotation of modes p and q.
+
+    Slot (K, t) of the flat (n+1)^2 layout holds the ket with K particles
+    in the pair and t of them in mode q.  Returns (occ, pos): the padded
+    occupations ((n+1)^2, 3), zero on empty slots, and the slot of each
+    canonical ket.
+    """
+    basis = enumerate_basis(n)
+    pair = basis[:, p] + basis[:, q]
+    pos = pair * (n + 1) + basis[:, q]
+    occ = np.zeros(((n + 1) ** 2, 3), dtype=np.int64)
+    occ[pos] = basis
+    for a in (occ, pos):
+        a.setflags(write=False)
+    return occ, pos
+
+
+@lru_cache(maxsize=None)
+def _gathers(n: int) -> tuple[np.ndarray, ...]:
+    """Gather indices that move a vector through the layouts of ``_PAIRS``.
+
+    The first reads the canonical vector with one zero appended (index
+    ``dim``); each later one reads the previous layout, sending empty slots
+    to an empty slot of it; the last returns to canonical order.  Empty
+    slots stay zero throughout, because the eigenbases are zero-padded.
+    """
+    dim = dimension(n)
+    src = np.arange(dim)
+    empty = dim
+    out = []
+    for p, q in _PAIRS:
+        _, pos = _pair_layout(n, p, q)
+        index = np.full((n + 1) ** 2, empty, dtype=np.int64)
+        index[pos] = src
+        out.append(index)
+        src, empty = pos, 1  # slot (K=0, t=1) is always empty when n >= 1
+    out.append(src)
+    for a in out:
+        a.setflags(write=False)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """One direction of the factored lift: phase, rotate, phase, ..., phase.
+
+    ``phases[i]`` (padded, in the layout of rotation i) multiplies before
+    rotation i; ``phases[3]`` (canonical order) multiplies last.
+    ``turns[i]`` holds exp(i theta lambda) over the eigenbasis of rotation
+    i, or None for a zero angle, which is skipped so that the identity
+    lifts exactly.
     """
 
     n: int
-    matrix: np.ndarray = field(repr=False)
+    phases: tuple[np.ndarray, ...]
+    turns: tuple[np.ndarray | None, ...]
+
+    @classmethod
+    def build(cls, n: int, thetas, phis) -> "_Sweep":
+        _, lam = _hopping_eigenbases(n)
+        occs = [_pair_layout(n, p, q)[0] for p, q in _PAIRS] + [enumerate_basis(n)]
+        phases = tuple(np.exp(1j * (occ @ phi)) for occ, phi in zip(occs, phis))
+        turns = tuple(None if t == 0 else np.exp(1j * t * lam)[..., None] for t in thetas)
+        return cls(n, phases, turns)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Act on the columns of x, shape (dim, m)."""
+        n = self.n
+        vecs, _ = _hopping_eigenbases(n)
+        vecs_t = vecs.transpose(0, 2, 1)  # BLAS reads the transpose in place
+        gathers = _gathers(n)
+        width = x.shape[1]
+        y = np.zeros((x.shape[0] + 1, width), dtype=np.complex128)
+        y[:-1] = x
+        for gather, phase, turn in zip(gathers[:3], self.phases[:3], self.turns):
+            y = y[gather]
+            y *= phase[:, None]
+            if turn is not None:
+                y = y.reshape(n + 1, n + 1, width)
+                y = np.matmul(vecs_t, y.view(np.float64)).view(np.complex128)
+                y *= turn
+                y = np.matmul(vecs, y.view(np.float64)).view(np.complex128)
+                y = y.reshape(-1, width)
+        y = y[gathers[3]]
+        y *= self.phases[3][:, None]
+        return y
+
+
+@dataclass(frozen=True, eq=False)
+class FockLift:
+    """N-particle unitary induced by a 3x3 mode matrix, applied matrix-free.
+
+    ``to_momentum`` maps site-representation amplitudes to momentum
+    amplitudes over the canonical basis, and ``to_site`` maps them back
+    with the adjoint.  ``matrix`` is the same map as a dense array.  It is
+    built on first access and cached, so it costs O(dim^2) memory only
+    where it is read.
+    """
+
+    n: int
+    forward: _Sweep = field(repr=False)
+    adjoint: _Sweep = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        dim = dimension(self.n)
+        out = np.empty((dim, dim), dtype=np.complex128)
+        for lo in range(0, dim, _MATRIX_BATCH):
+            cols = np.eye(dim, min(_MATRIX_BATCH, dim - lo), -lo, dtype=np.complex128)
+            out[:, lo : lo + cols.shape[1]] = self.forward.apply(cols)
+        out.setflags(write=False)
+        return out
 
     def to_momentum(self, s: StateVector) -> StateVector:
         if s.rep is not Representation.SITE:
             raise ValueError("to_momentum expects a site-representation state")
-        return StateVector(s.n, Representation.MOMENTUM, self.matrix @ s.amps)
+        amps = self.forward.apply(s.amps[:, None])[:, 0]
+        return StateVector(s.n, Representation.MOMENTUM, amps)
 
     def to_site(self, s: StateVector) -> StateVector:
         if s.rep is not Representation.MOMENTUM:
             raise ValueError("to_site expects a momentum-representation state")
-        return StateVector(s.n, Representation.SITE, self.matrix.conj().T @ s.amps)
+        amps = self.adjoint.apply(s.amps[:, None])[:, 0]
+        return StateVector(s.n, Representation.SITE, amps)
 
 
 def lift_to_fock(f: np.ndarray, n: int) -> FockLift:
@@ -83,11 +255,10 @@ def lift_to_fock(f: np.ndarray, n: int) -> FockLift:
     defect = np.max(np.abs(f @ f.conj().T - np.eye(3)))
     if defect > 1e-12:
         raise ValueError(f"mode matrix is not unitary (defect {defect:.3e})")
-    # columns of the mode Fock kets in the site basis; the lift is their adjoint
-    columns = _kernels.lift_columns(f.conj(), n)
-    matrix = columns.conj().T
-    matrix.setflags(write=False)
-    return FockLift(n, matrix)
+    thetas, phis = _givens_factors(f)
+    forward = _Sweep.build(n, thetas[::-1], phis[::-1])
+    adjoint = _Sweep.build(n, -thetas, -phis)
+    return FockLift(n, forward, adjoint)
 
 
 @lru_cache(maxsize=None)

@@ -26,9 +26,14 @@ __all__ = [
     "fock_state",
     "overlap",
     "site_number_distribution",
+    "NumericalHealthError",
 ]
 
 NORM_TOL = 1e-9
+
+
+class NumericalHealthError(ValueError):
+    """A computed quantity broke an invariant it holds in exact arithmetic."""
 
 
 class Representation(enum.Enum):
@@ -55,7 +60,7 @@ class StateVector:
             )
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+            raise NumericalHealthError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import ringcat.cli as cli
+from ringcat.basis import multinomial_amplitudes
 from ringcat.cli import main
+from ringcat.modes import dft_lift
+from ringcat.state import Representation, StateVector
 
 
 def run_cli(*argv):
@@ -174,6 +178,66 @@ def test_exit_code_physics_precondition(tmp_path, capsys):
     assert run_cli("fringes", "--n", "5", "--out", str(tmp_path / "f.csv")) == 3
     assert run_cli("calibrate-u", "--n", "7", "--out", str(tmp_path / "c.csv")) == 3
     capsys.readouterr()
+
+
+def test_exit_code_numerical_health_unit_sum(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "momentum_distribution", lambda s: 2.0 * s.probabilities())
+    assert run_cli("cat", "--n", "3", "--out", str(tmp_path / "h.csv")) == 4
+    assert "numerical health check failed" in capsys.readouterr().err
+
+
+def test_exit_code_numerical_health_state_norm(tmp_path, capsys, monkeypatch):
+    def drifted(n):
+        return StateVector(n, Representation.SITE, 1.001 * multinomial_amplitudes(n))
+
+    monkeypatch.setattr(cli, "superfluid_ground_state", drifted)
+    assert run_cli("cat", "--n", "3", "--out", str(tmp_path / "h.csv")) == 4
+    assert "state norm" in capsys.readouterr().err
+
+
+def assert_refused_at_parse(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("ringcat cat: error: argument")
+
+
+def test_zero_denominator_angle_is_refused(tmp_path, capsys):
+    out = str(tmp_path / "z.csv")
+    assert_refused_at_parse(capsys, "cat", "--n", "3", "--theta-pi", "2/0", "--out", out)
+
+
+def test_non_finite_angles_are_refused(tmp_path, capsys):
+    out = str(tmp_path / "nf.csv")
+    for flag, value in (("--theta-pi", "nan"), ("--theta-pi", "inf"), ("--delta", "nan"), ("--delta", "-inf")):
+        assert_refused_at_parse(capsys, "cat", "--n", "3", flag, value, "--out", out)
+
+
+def test_cat_ninety_particles(tmp_path):
+    out = tmp_path / "cat90.csv"
+    assert run_cli("cat", "--n", "90", "--out", str(out)) == 0
+    _, rows, footer = read_csv(out)
+    assert len(rows) == 4186
+    assert sum(row[2] for row in rows) == pytest.approx(1.0, abs=1e-10)
+    assert footer["cattiness"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_fringes_ninety_particles(tmp_path):
+    out = tmp_path / "fringes90.csv"
+    assert run_cli("fringes", "--n", "90", "--xi", "0.35", "--grid", "64", "--out", str(out)) == 0
+    header, rows, _ = read_csv(out)
+    for row in rows:
+        table = dict(zip(header, row))
+        for mode in ("p_alpha", "p_beta", "p_gamma"):
+            assert table[mode] == pytest.approx(table[mode + "_closed"], abs=1e-9)
+
+
+def test_cat_keeps_the_lift_matrix_free(tmp_path):
+    dft_lift.cache_clear()
+    assert run_cli("cat", "--n", "60", "--out", str(tmp_path / "cat60.csv")) == 0
+    assert "matrix" not in vars(dft_lift(60))
 
 
 def test_stdout_output(capsys):

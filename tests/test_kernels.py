@@ -7,21 +7,12 @@ import pytest
 
 from ringcat import _kernels
 from ringcat.basis import multinomial_amplitudes, pair_counts
-from ringcat.modes import dft_mode_matrix, extremal_columns
+from ringcat.modes import dft_mode_matrix, extremal_columns, lift_to_fock
 
 
 def test_backend_reports_a_known_value():
     assert _kernels.BACKEND in ("numba", "numpy")
     assert _kernels.HAVE_NUMBA is (_kernels.BACKEND == "numba")
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not active")
-def test_lift_backends_agree():
-    fc = dft_mode_matrix().conj()
-    for n in (0, 1, 4, 9, 16):
-        fast = _kernels.lift_columns(fc, n)
-        ref = _kernels.lift_columns_numpy(fc, n)
-        assert np.max(np.abs(fast - ref)) < 1e-12, f"n={n}"
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not active")
@@ -45,9 +36,7 @@ def test_env_flag_forces_numpy_backend():
     assert out.stdout.strip() == "numpy"
 
 
-def test_numpy_fallback_is_self_consistent():
-    # the fallback must behave identically whether or not numba exists
-    fc = dft_mode_matrix().conj()
-    cols = _kernels.lift_columns_numpy(fc, 6)
-    gram = cols.conj().T @ cols
-    assert np.max(np.abs(gram - np.eye(cols.shape[0]))) < 1e-12
+def test_lift_gram_matrix_is_identity():
+    lift = lift_to_fock(dft_mode_matrix(), 6).matrix
+    gram = lift.conj().T @ lift
+    assert np.max(np.abs(gram - np.eye(lift.shape[0]))) < 1e-12
