@@ -7,7 +7,6 @@ quench-and-hold protocols that create three-branch flow superpositions, and
 the three-port interferometer they enable.
 """
 
-from ._kernels import BACKEND
 from .basis import (
     dimension,
     enumerate_basis,
@@ -51,6 +50,7 @@ from .protocol import (
     analytic_P3,
     calibrate_u,
     cattiness,
+    cattiness_curve,
     cattiness_sweep,
     run_protocol,
     sweep_protocol_probabilities,

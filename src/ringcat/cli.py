@@ -31,8 +31,8 @@ from .protocol import (
     BracketError,
     calibrate_u,
     cattiness,
+    cattiness_curve,
     run_protocol,
-    sweep_protocol_probabilities,
     timing_tolerance,
 )
 from .state import NumericalHealthError, site_number_distribution, superfluid_ground_state
@@ -185,20 +185,16 @@ def cmd_calibrate_u(args) -> None:
     if not args.theta_min < args.theta_max:
         raise ValueError("--theta-min-pi must be below --theta-max-pi")
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
-
-    def c_at(grid):
-        return 3.0 * np.cbrt(np.prod(sweep_protocol_probabilities(args.n, grid), axis=1))
-
     try:
         star = calibrate_u(args.n, thetas)
     except BracketError as exc:
         raise PhysicsError(str(exc)) from exc
-    rows = [[float(t), float(c)] for t, c in zip(thetas, c_at(thetas))]
+    rows = [[float(t), float(c)] for t, c in zip(thetas, cattiness_curve(args.n, thetas))]
     summary = {
         "n": args.n,
         "theta_star": star,
         "theta_star_pi": star / math.pi,
-        "c_star": float(c_at(np.array([star]))[0]),
+        "c_star": float(cattiness_curve(args.n, np.array([star]))[0]),
     }
     _emit(args, ("theta", "cattiness"), rows, summary)
 

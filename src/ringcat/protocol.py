@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from . import _kernels
 from .basis import multinomial_amplitudes, pair_counts
 from .evolution import evolve_interaction_phase
 from .modes import extremal_columns, extremal_mode_probabilities
@@ -36,11 +34,15 @@ __all__ = [
     "analytic_P3",
     "cattiness",
     "cattiness_sweep",
+    "cattiness_curve",
     "timing_tolerance",
     "calibrate_u",
 ]
 
 CAT_HOLD_PHASE = 2.0 * math.pi / 3.0
+
+# Theta points per block of the sweep; caps the (points x dim) phase matrix.
+_SWEEP_CHUNK = 2048
 
 # Closed forms for the three-particle mode-condensate probabilities as
 # cosine series in theta: P = (c0 + c1 cos t + c2 cos 2t + c3 cos 3t) / 81.
@@ -87,9 +89,9 @@ def run_protocol(n: int, theta: float = CAT_HOLD_PHASE) -> ProtocolResult:
 @lru_cache(maxsize=None)
 def _sweep_inputs(n: int):
     ground = multinomial_amplitudes(n)
-    counts = pair_counts(n)
+    half = 0.5 * pair_counts(n).astype(np.float64)
     wconj = np.ascontiguousarray(extremal_columns(n).conj())
-    return ground, counts, wconj
+    return ground, half, wconj
 
 
 def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
@@ -101,8 +103,15 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
-    ground, counts, wconj = _sweep_inputs(n)
-    return _kernels.protocol_sweep(ground, counts, wconj, np.asarray(thetas, dtype=np.float64))
+    ground, half, wconj = _sweep_inputs(n)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    out = np.empty((thetas.size, 3), dtype=np.float64)
+    for lo in range(0, thetas.size, _SWEEP_CHUNK):
+        th = thetas[lo : lo + _SWEEP_CHUNK]
+        phases = np.exp(-1j * np.outer(th, half))
+        amps = (phases * ground) @ wconj
+        out[lo : lo + th.size] = np.abs(amps) ** 2
+    return out
 
 
 def analytic_P3(theta) -> tuple:
@@ -141,7 +150,8 @@ def cattiness_sweep(n_values, theta: float = CAT_HOLD_PHASE) -> list[ProtocolRes
     return [run_protocol(int(n), theta) for n in n_values]
 
 
-def _cattiness_on_grid(n: int, thetas) -> np.ndarray:
+def cattiness_curve(n: int, thetas) -> np.ndarray:
+    """Cattiness 3 (P_a P_b P_g)^(1/3) at each hold phase of a grid."""
     probs = sweep_protocol_probabilities(n, thetas)
     return 3.0 * np.cbrt(np.prod(probs, axis=1))
 
@@ -169,7 +179,7 @@ def timing_tolerance(
         raise ValueError(f"grid step must lie in (0, 1e-4/n], got {step}")
 
     def c_of_delta(deltas):
-        return _cattiness_on_grid(n, (1.0 + np.asarray(deltas)) * CAT_HOLD_PHASE)
+        return cattiness_curve(n, (1.0 + np.asarray(deltas)) * CAT_HOLD_PHASE)
 
     if c_of_delta(np.array([0.0]))[0] < c_target:
         raise ValueError(f"target {c_target} unreachable: cattiness below it at delta = 0")
@@ -212,19 +222,60 @@ def calibrate_u(n: int, theta_samples) -> float:
     ``theta_samples`` must bracket the peak near 2*pi/3.  The best grid
     sample seeds a golden-section refinement; running the protocol for a
     range of hold times and reading the resonance off this way pins the
-    interaction strength, since the peak sharpens like 1/n.
+    interaction strength, since the peak sharpens like 1/n.  The peak is
+    flat-topped, so a search on values resolves it only to a few 1e-9.
+    Raises ``BracketError`` when the best sample has no strictly lower,
+    distinct neighbour on each side.
     """
     thetas = np.sort(np.asarray(theta_samples, dtype=np.float64))
     if thetas.size < 3:
         raise BracketError("need at least three samples to bracket a peak")
-    values = _cattiness_on_grid(n, thetas)
+    values = cattiness_curve(n, thetas)
     best = int(np.argmax(values))
     if best == 0 or best == thetas.size - 1:
         raise BracketError("scan maximum sits on the bracket edge; no interior peak")
-    result = minimize_scalar(
-        lambda t: -_cattiness_on_grid(n, np.array([t]))[0],
-        bracket=(thetas[best - 1], thetas[best], thetas[best + 1]),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    return float(result.x)
+
+    def c_at(theta):
+        return cattiness_curve(n, np.array([theta]))[0]
+
+    return float(_golden_maximum(c_at, *thetas[best - 1 : best + 2]))
+
+
+# Golden-ratio conjugate 2/(1 + sqrt 5), rounded to eight digits as in the
+# library golden section this search reproduces, so it visits the same points.
+_GOLDEN = 0.61803399
+
+
+def _golden_maximum(f, xa, xb, xc):
+    """Golden-section search for the maximum of ``f`` bracketed by xa < xb < xc.
+
+    A port of the standard bracketed golden section, run on -f with a
+    relative tolerance of 1e-12: the same constant, update order, stopping
+    test, 5000-step bound and final pick, so it returns the same bits as
+    the library routine (the protocol tests check this exactly).  The
+    bracket must be strict: f(xb) above both f(xa) and f(xc).
+    """
+    if not xa < xb < xc:
+        raise BracketError(f"scan samples {xa}, {xb}, {xc} around the maximum are not distinct")
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb > fa and fb > fc):
+        raise BracketError("scan maximum is not strictly above both neighbours; no interior peak")
+    gc = 1.0 - _GOLDEN
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1 = x1, x2
+            x2 = _GOLDEN * x1 + gc * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = _GOLDEN * x2 + gc * x0
+            f2, f1 = f1, f(x1)
+    return x1 if f1 > f2 else x2

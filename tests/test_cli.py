@@ -180,6 +180,15 @@ def test_exit_code_physics_precondition(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_calibrate_degenerate_bracket_is_a_physics_error(tmp_path, capsys):
+    # a bracket one ulp wide repeats grid samples around the best one
+    argv = ("calibrate-u", "--n", "6", "--theta-min-pi", "0.6666666666666666",
+            "--theta-max-pi", "0.6666666666666667", "--grid", "121")
+    assert run_cli(*argv, "--out", str(tmp_path / "c.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ringcat: ") and "Bracketing values" not in err
+
+
 def test_exit_code_numerical_health_unit_sum(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "momentum_distribution", lambda s: 2.0 * s.probabilities())
     assert run_cli("cat", "--n", "3", "--out", str(tmp_path / "h.csv")) == 4

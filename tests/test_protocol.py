@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ringcat.protocol import (
     analytic_P3,
     calibrate_u,
     cattiness,
+    cattiness_curve,
     cattiness_sweep,
     run_protocol,
     sweep_protocol_probabilities,
@@ -36,11 +39,6 @@ def brute_force_probabilities(n, theta):
             total += weight * omega ** (k * (q + 2 * r)) * np.exp(-0.5j * theta * counts)
         out.append(abs(total) ** 2)
     return tuple(out)
-
-
-def cattiness_curve(n, thetas):
-    probs = sweep_protocol_probabilities(n, thetas)
-    return 3.0 * np.cbrt(np.prod(probs, axis=1))
 
 
 def test_resonant_run_creates_even_cat():
@@ -223,6 +221,34 @@ def test_calibration_rejects_edge_maximum():
         calibrate_u(6, np.linspace(0.1, 0.5, 21))
     with pytest.raises(BracketError):
         calibrate_u(6, [1.0, 2.0])
+    # a repeated best sample leaves no strict bracket around the peak
+    with pytest.raises(BracketError):
+        calibrate_u(6, [1.0, CAT_HOLD_PHASE, CAT_HOLD_PHASE, 3.0])
+
+
+def test_calibration_matches_scipy_golden_section_bit_for_bit():
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    # the default bracket of the calibrate-u command
+    thetas = np.linspace(0.5 * math.pi, 5.0 * math.pi / 6.0, 121)
+    for n in (3, 6, 30, 90):
+        values = cattiness_curve(n, thetas)
+        best = int(np.argmax(values))
+        reference = minimize_scalar(
+            lambda t: -cattiness_curve(n, np.array([t]))[0],
+            bracket=(thetas[best - 1], thetas[best], thetas[best + 1]),
+            method="golden",
+            options={"xtol": 1e-12},
+        )
+        assert calibrate_u(n, thetas) == float(reference.x), f"n={n}"
+
+
+def test_import_pulls_in_neither_scipy_nor_numba():
+    code = (
+        "import ringcat, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_protocol_rejects_zero_particles():
