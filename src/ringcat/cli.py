@@ -28,11 +28,12 @@ from .evolution import evolve_interaction_phase
 from .interferometer import fringe_scan
 from .modes import extremal_mode_probabilities, momentum_distribution
 from .protocol import (
+    CAT_HOLD_PHASE,
     BracketError,
-    calibrate_u,
+    _calibrate_on_grid,
     cattiness,
     cattiness_curve,
-    run_protocol,
+    cattiness_sweep,
     timing_tolerance,
 )
 from .state import NumericalHealthError, site_number_distribution, superfluid_ground_state
@@ -148,10 +149,8 @@ def cmd_cat(args) -> None:
 def cmd_cattiness_sweep(args) -> None:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError(f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        r = run_protocol(n, args.theta)
-        rows.append([n, r.p_alpha, r.p_beta, r.p_gamma, r.cattiness])
+    results = cattiness_sweep(range(args.n_min, args.n_max + 1), args.theta)
+    rows = [[r.n, r.p_alpha, r.p_beta, r.p_gamma, r.cattiness] for r in results]
     _emit(args, ("n", "p_alpha", "p_beta", "p_gamma", "cattiness"), rows)
 
 
@@ -186,10 +185,10 @@ def cmd_calibrate_u(args) -> None:
         raise ValueError("--theta-min-pi must be below --theta-max-pi")
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
     try:
-        star = calibrate_u(args.n, thetas)
+        star, values = _calibrate_on_grid(args.n, thetas)
     except BracketError as exc:
         raise PhysicsError(str(exc)) from exc
-    rows = [[float(t), float(c)] for t, c in zip(thetas, cattiness_curve(args.n, thetas))]
+    rows = [[float(t), float(c)] for t, c in zip(thetas, values)]
     summary = {
         "n": args.n,
         "theta_star": star,
@@ -250,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cat", help="momentum distribution and summary after one protocol run")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta-pi", dest="theta", type=_parse_pi, default=2.0 * math.pi / 3.0,
+    p.add_argument("--theta-pi", dest="theta", type=_parse_pi, default=CAT_HOLD_PHASE,
                    help="hold phase in units of pi (default 2/3)")
     p.add_argument("--delta", type=_finite_float, default=0.0,
                    help="fractional timing error; hold phase becomes (1+delta)*theta")
@@ -260,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cattiness-sweep", help="cattiness at fixed hold phase over a range of n")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--theta-pi", dest="theta", type=_parse_pi, default=2.0 * math.pi / 3.0)
+    p.add_argument("--theta-pi", dest="theta", type=_parse_pi, default=CAT_HOLD_PHASE)
     common(p)
     p.set_defaults(func=cmd_cattiness_sweep)
 

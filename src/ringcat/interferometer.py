@@ -5,8 +5,8 @@ dt under the rotating mode Hamiltonian, then a second cat operation with a
 doubled hold (4*pi/3) that inverts the first, and finally a mode-number
 readout.  For particle numbers divisible by three the whole sequence stays
 inside the span of the three extremal mode occupations, so it reduces to
-3x3 matrix algebra; the Fock-space pipeline is kept alongside as the
-cross-check.
+3x3 matrix algebra.  ``fringe_scan`` runs the same sequence in Fock space,
+point by point, and tabulates it beside those closed forms.
 
 The readout fringes depend on the settings only through two dimensionless
 phases: phi_rot = n*xi*dt (rotation) and phi_hop = 3*n*J*dt (hopping).
@@ -37,8 +37,6 @@ __all__ = [
     "FringeScan",
     "fringe_scan",
 ]
-
-_THIRD = 2.0 * math.pi / 3.0
 
 
 @dataclass(frozen=True)
@@ -99,28 +97,12 @@ def fringe_probabilities(s: FringeSettings) -> tuple[float, float, float]:
         c = math.cos(s.phi_rot + shift)
         return (1.0 + 4.0 * c * c + 4.0 * c * ch) / 9.0
 
-    return branch(0.0), branch(_THIRD), branch(-_THIRD)
+    return branch(0.0), branch(CAT_HOLD_PHASE), branch(-CAT_HOLD_PHASE)
 
 
-def full_simulation_fringes(
-    n: int, j: float, xi: float, dt: float, theta: float = CAT_HOLD_PHASE
-) -> tuple[float, float, float]:
-    """Run the whole interferometer in Fock space and read out the fringes.
-
-    Pipeline: protocol hold of ``theta`` from the even condensate, transform
-    to the momentum representation, hold for ``dt`` under the rotating mode
-    Hamiltonian, transform back, hold for ``2 * theta``, then project on the
-    extremal kets.  Only particle numbers divisible by three keep the state
-    inside the extremal subspace, so others are rejected.
-    """
-    if n < 1 or n % 3 != 0:
-        raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
-    lift = dft_lift(n)
-    hold = build_rotating_momentum_hamiltonian(HubbardParams(n=n, J=j, xi=xi))
-    state = evolve_interaction_phase(superfluid_ground_state(n), theta)
-    state = SpectralPropagator(hold).evolve(lift.to_momentum(state), dt)
-    state = evolve_interaction_phase(lift.to_site(state), 2.0 * theta)
-    return extremal_mode_probabilities(state)
+def full_simulation_fringes(n: int, j: float, xi: float, dt: float) -> tuple[float, float, float]:
+    """Fock-space readout (P_alpha, P_beta, P_gamma) at one setting: a one-point ``fringe_scan``."""
+    return tuple(map(float, fringe_scan(n, j, [xi], dt).probs_sim[0]))
 
 
 def protocol_subspace_matrix(n: int, theta: float) -> np.ndarray:
@@ -171,15 +153,27 @@ def _peak_positions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     """Sweep the rotation coupling and tabulate simulated and closed-form fringes.
 
+    The simulated columns run the interferometer in Fock space.  The 2*pi/3
+    hold of the even condensate and its lift to momentum modes do not depend
+    on xi, so they run once; each xi then gets the sensing hold for ``dt``,
+    the lift back, the doubled hold and the extremal readout.  Only multiples
+    of three keep the state in the extremal subspace; other n are rejected.
+
     The period column is measured from the spacing of the alpha-fringe
     maxima over the scan (NaN when the grid covers fewer than two peaks);
     for these fringes it equals 2*pi/n in units of xi*dt.
     """
+    if n < 1 or n % 3 != 0:
+        raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
+    lift = dft_lift(n)
+    cat = lift.to_momentum(evolve_interaction_phase(superfluid_ground_state(n), CAT_HOLD_PHASE))
     xi_values = np.asarray(xi_values, dtype=np.float64)
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     closed = np.empty_like(sim)
     for i, xi in enumerate(xi_values):
-        sim[i] = full_simulation_fringes(n, j, float(xi), dt)
+        hold = build_rotating_momentum_hamiltonian(HubbardParams(n=n, J=j, xi=float(xi)))
+        state = lift.to_site(SpectralPropagator(hold).evolve(cat, dt))
+        sim[i] = extremal_mode_probabilities(evolve_interaction_phase(state, 2.0 * CAT_HOLD_PHASE))
         closed[i] = fringe_probabilities(FringeSettings.from_physical(n, j, float(xi), dt))
     xi_dt = xi_values * dt
     peaks = _peak_positions(xi_dt, closed[:, 0])

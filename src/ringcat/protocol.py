@@ -41,8 +41,12 @@ __all__ = [
 
 CAT_HOLD_PHASE = 2.0 * math.pi / 3.0
 
-# Theta points per block of the sweep; caps the (points x dim) phase matrix.
+# Theta points per block of the sweep; sizes its one (points x dim) phase buffer.
 _SWEEP_CHUNK = 2048
+
+# Timing-tolerance scan: grid step 1e-4/n in delta, and the largest delta scanned.
+_TIMING_STEP = 1e-4
+_TIMING_DELTA_MAX = 1.5
 
 # Closed forms for the three-particle mode-condensate probabilities as
 # cosine series in theta: P = (c0 + c1 cos t + c2 cos 2t + c3 cos 3t) / 81.
@@ -106,11 +110,13 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     ground, half, wconj = _sweep_inputs(n)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty((thetas.size, 3), dtype=np.float64)
+    buf = np.empty((min(thetas.size, _SWEEP_CHUNK), half.size), dtype=np.complex128)
     for lo in range(0, thetas.size, _SWEEP_CHUNK):
         th = thetas[lo : lo + _SWEEP_CHUNK]
-        phases = np.exp(-1j * np.outer(th, half))
-        amps = (phases * ground) @ wconj
-        out[lo : lo + th.size] = np.abs(amps) ** 2
+        phases = np.multiply(-1j, np.outer(th, half), out=buf[: th.size])
+        np.exp(phases, out=phases)
+        phases *= ground
+        out[lo : lo + th.size] = np.abs(phases @ wconj) ** 2
     return out
 
 
@@ -156,27 +162,20 @@ def cattiness_curve(n: int, thetas) -> np.ndarray:
     return 3.0 * np.cbrt(np.prod(probs, axis=1))
 
 
-def timing_tolerance(
-    n: int,
-    c_target: float = 0.9,
-    grid_step: float | None = None,
-    delta_max: float = 1.5,
-) -> float:
+def timing_tolerance(n: int, c_target: float = 0.9) -> float:
     """Largest timing error delta keeping cattiness at or above ``c_target``.
 
     The hold phase is theta = (1 + delta) * 2*pi/3 and the returned value is
-    the first downward crossing of the cattiness curve, located by a coarse
-    grid scan (step at most 1e-4/n) and refined by bisection to 1e-9.  A
-    plain bisection from delta = 0 would risk landing on a revival lobe of
-    the oscillatory curve instead of the first crossing.
+    the first downward crossing of the cattiness curve, located by a grid
+    scan in steps of 1e-4/n up to delta = 1.5 and refined by bisection to
+    1e-9.  A plain bisection from delta = 0 would risk landing on a revival
+    lobe of the oscillatory curve instead of the first crossing.
     """
     if n < 1 or n % 3 != 0:
         raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
     if not 0.0 < c_target < 1.0:
         raise ValueError(f"cattiness target must lie in (0, 1), got {c_target}")
-    step = grid_step if grid_step is not None else 1e-4 / n
-    if step <= 0 or step > 1e-4 / n:
-        raise ValueError(f"grid step must lie in (0, 1e-4/n], got {step}")
+    step = _TIMING_STEP / n
 
     def c_of_delta(deltas):
         return cattiness_curve(n, (1.0 + np.asarray(deltas)) * CAT_HOLD_PHASE)
@@ -189,9 +188,9 @@ def timing_tolerance(
     block = 4096
     crossing = None
     start = 0.0
-    while start < delta_max and crossing is None:
+    while start < _TIMING_DELTA_MAX and crossing is None:
         deltas = start + step * np.arange(1, block + 1)
-        deltas = deltas[deltas <= delta_max]
+        deltas = deltas[deltas <= _TIMING_DELTA_MAX]
         if deltas.size == 0:
             break
         values = c_of_delta(deltas)
@@ -204,7 +203,7 @@ def timing_tolerance(
             start = deltas[-1]
             lo = start
     if crossing is None:
-        raise ValueError(f"no crossing below {c_target} found for delta <= {delta_max}")
+        raise ValueError(f"no crossing below {c_target} found for delta <= {_TIMING_DELTA_MAX}")
 
     hi = float(crossing)
     while hi - lo > 1e-9:
@@ -227,6 +226,11 @@ def calibrate_u(n: int, theta_samples) -> float:
     Raises ``BracketError`` when the best sample has no strictly lower,
     distinct neighbour on each side.
     """
+    return _calibrate_on_grid(n, theta_samples)[0]
+
+
+def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, np.ndarray]:
+    """``calibrate_u`` plus the cattiness it swept at the sorted samples."""
     thetas = np.sort(np.asarray(theta_samples, dtype=np.float64))
     if thetas.size < 3:
         raise BracketError("need at least three samples to bracket a peak")
@@ -238,7 +242,7 @@ def calibrate_u(n: int, theta_samples) -> float:
     def c_at(theta):
         return cattiness_curve(n, np.array([theta]))[0]
 
-    return float(_golden_maximum(c_at, *thetas[best - 1 : best + 2]))
+    return float(_golden_maximum(c_at, *thetas[best - 1 : best + 2])), values
 
 
 # Golden-ratio conjugate 2/(1 + sqrt 5), rounded to eight digits as in the

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ringcat.cli as cli
+import ringcat.protocol as protocol
 from ringcat.basis import multinomial_amplitudes
 from ringcat.cli import main
 from ringcat.modes import dft_lift
@@ -114,6 +115,20 @@ def test_calibrate_summary(tmp_path):
     assert payload["summary"]["c_star"] == pytest.approx(1.0, abs=1e-10)
     assert payload["columns"] == ["theta", "cattiness"]
     assert len(payload["rows"]) == 41
+
+
+def test_calibrate_sweeps_the_grid_once(tmp_path, monkeypatch):
+    sizes = []
+    sweep = protocol.sweep_protocol_probabilities
+
+    def counted(n, thetas):
+        sizes.append(np.size(thetas))
+        return sweep(n, thetas)
+
+    monkeypatch.setattr(protocol, "sweep_protocol_probabilities", counted)
+    out = tmp_path / "cal.csv"
+    assert run_cli("calibrate-u", "--n", "6", "--grid", "121", "--out", str(out)) == 0
+    assert sizes.count(121) == 1
 
 
 def test_fringes_closed_equals_simulation(tmp_path):

@@ -14,7 +14,7 @@ from ringcat.interferometer import (
     phase_matrix,
     protocol_subspace_matrix,
 )
-from ringcat.modes import momentum_distribution
+from ringcat.modes import FockLift, momentum_distribution
 from ringcat.protocol import CAT_HOLD_PHASE
 from ringcat.state import superfluid_ground_state
 
@@ -161,3 +161,19 @@ def test_fringes_depend_only_on_the_two_phase_products():
     sb = FringeSettings.from_physical(6, 0.4, 1.0, 1.0)
     assert (sa.phi_rot, sa.phi_hop) == pytest.approx((sb.phi_rot, sb.phi_hop), abs=1e-15)
     assert np.allclose(fringe_probabilities(sa), fringe_probabilities(sb), atol=1e-15)
+
+
+def test_scan_lifts_the_cat_to_momentum_once(monkeypatch):
+    calls = []
+    to_momentum = FockLift.to_momentum
+
+    def counted(self, s):
+        calls.append(s.n)
+        return to_momentum(self, s)
+
+    monkeypatch.setattr(FockLift, "to_momentum", counted)
+    xi_values = np.linspace(0.0, 0.5, 64)
+    scan = fringe_scan(30, 0.2, xi_values, 1.1)
+    assert calls == [30]
+    for xi, row in zip(xi_values, scan.probs_sim):
+        assert tuple(row) == full_simulation_fringes(30, 0.2, float(xi), 1.1), f"xi={xi}"
