@@ -11,7 +11,8 @@ violated (for example a particle number that is not a multiple of three
 where the protocol requires one), 4 numerical health check failed (a
 state norm or a probability sum drifted from 1 beyond its tolerance).
 Malformed flags, including non-finite or zero-denominator angles, are
-refused by the argument parser with exit code 2.
+refused by the argument parser with exit code 2, and settings whose largest
+phase overflows a float are refused with exit code 2 before any work.
 """
 
 from __future__ import annotations
@@ -87,8 +88,14 @@ def _fmt(value) -> str:
 
 def _check_unit_sum(values, label: str, tol: float = SUM_TOL) -> None:
     total = float(np.sum(values))
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise NumericalHealthError(f"{label} sums to {total!r}, expected 1 within {tol}")
+
+
+def _check_phase(setting: str, phase: float) -> None:
+    """Refuse a setting whose largest phase argument overflows a float."""
+    if not math.isfinite(phase):
+        raise ValueError(f"largest phase overflows a float; reduce {setting}")
 
 
 def _emit(args, columns, rows, summary=None) -> None:
@@ -129,6 +136,7 @@ def cmd_cat(args) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     theta = args.theta * (1.0 + args.delta)
+    _check_phase("--theta-pi or --delta", 0.5 * theta * (args.n * (args.n - 1)))
     final = evolve_interaction_phase(superfluid_ground_state(args.n), theta)
     dist = momentum_distribution(final)
     _check_unit_sum(dist, "momentum distribution")
@@ -149,6 +157,7 @@ def cmd_cat(args) -> None:
 def cmd_cattiness_sweep(args) -> None:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError(f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
+    _check_phase("--theta-pi", 0.5 * args.theta * (args.n_max * (args.n_max - 1)))
     results = cattiness_sweep(range(args.n_min, args.n_max + 1), args.theta)
     rows = [[r.n, r.p_alpha, r.p_beta, r.p_gamma, r.cattiness] for r in results]
     _emit(args, ("n", "p_alpha", "p_beta", "p_gamma", "cattiness"), rows)
@@ -183,6 +192,8 @@ def cmd_calibrate_u(args) -> None:
         raise ValueError(f"--grid must be >= 3, got {args.grid}")
     if not args.theta_min < args.theta_max:
         raise ValueError("--theta-min-pi must be below --theta-max-pi")
+    widest = max(abs(args.theta_min), abs(args.theta_max))
+    _check_phase("--theta-min-pi or --theta-max-pi", 0.5 * widest * (args.n * (args.n - 1)))
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
     try:
         star, values = _calibrate_on_grid(args.n, thetas)
@@ -203,6 +214,7 @@ def cmd_fringes(args) -> None:
         raise PhysicsError(f"fringes need a positive multiple of 3, got {args.n}")
     if args.grid < 2 or args.xi <= 0 or args.dt <= 0:
         raise ValueError("need --grid >= 2, --xi > 0 and --dt > 0")
+    _check_phase("--j, --xi or --dt", 3.0 * args.n * (abs(args.j) + args.xi) * args.dt)
     xi_values = np.linspace(0.0, args.xi, args.grid)
     scan = fringe_scan(args.n, args.j, xi_values, args.dt)
     for i in range(xi_values.size):

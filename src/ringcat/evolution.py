@@ -1,11 +1,11 @@
 """Time evolution engines.
 
 The convention is e^{-iHt} throughout (hbar = 1).  Interaction-only holds
-are diagonal in the site basis and evolve by exact phases; arbitrary
-Hermitian operators evolve through a dense eigendecomposition, which at
-this basis size is cheap and keeps the propagation exactly unitary.
-Quenches are treated as sudden: the state is unchanged while the
-Hamiltonian switches form.
+evolve by exact site-basis phases, and the interferometer's sensing hold
+applies its mode-energy phases directly.  ``SpectralPropagator`` is the one
+dense reference propagator: any Hermitian operator evolves through an
+eigendecomposition, cheap at this basis size and exactly unitary.  Quenches
+are sudden: the state is unchanged while the Hamiltonian switches form.
 """
 
 from __future__ import annotations
@@ -38,39 +38,25 @@ def evolve_interaction_phase(s: StateVector, ut: float) -> StateVector:
 class SpectralPropagator:
     """Reusable e^{-iHt} engine for one Hermitian operator.
 
-    Diagonal operators evolve by direct phases; anything else gets a dense
-    eigendecomposition, computed once and reused for every requested time.
+    The dense reference propagator: the operator is checked for Hermiticity
+    and eigendecomposed once, and the decomposition serves every time.
     """
 
     def __init__(self, op: HermitianOperator):
+        dense = op.to_dense()
+        defect = np.max(np.abs(dense - dense.conj().T))
+        if defect > 1e-12:
+            raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
         self.op = op
-        self._diag = None
-        if op.is_diagonal:
-            diag = op.diagonal()
-            if np.max(np.abs(diag.imag), initial=0.0) > 1e-12:
-                raise ValueError("diagonal operator has a non-real diagonal; not Hermitian")
-            self._diag = diag.real
-        self._eig = None
-
-    def _decomposition(self):
-        if self._eig is None:
-            dense = self.op.to_dense()
-            defect = np.max(np.abs(dense - dense.conj().T))
-            if defect > 1e-12:
-                raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
-            self._eig = np.linalg.eigh(dense)
-        return self._eig
+        self._evals, self._evecs = np.linalg.eigh(dense)
 
     def evolve(self, s: StateVector, t: float) -> StateVector:
         if s.amps.shape[0] != self.op.dim:
             raise ValueError(f"dimension mismatch: state {s.amps.shape[0]}, operator {self.op.dim}")
         if s.rep is not self.op.rep:
             raise ValueError(f"representation mismatch: state {s.rep}, operator {self.op.rep}")
-        if self._diag is not None:
-            amps = s.amps * np.exp(-1j * t * self._diag)
-        else:
-            evals, evecs = self._decomposition()
-            amps = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ s.amps))
+        evecs = self._evecs
+        amps = evecs @ (np.exp(-1j * t * self._evals) * (evecs.conj().T @ s.amps))
         return StateVector(s.n, s.rep, amps)
 
 

@@ -71,15 +71,6 @@ class HermitianOperator:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.rows == self.cols))
-
-    def diagonal(self) -> np.ndarray:
-        diag = np.zeros(self.dim, dtype=np.complex128)
-        np.add.at(diag, self.rows[self.rows == self.cols], self.vals[self.rows == self.cols])
-        return diag
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dim, self.dim), dtype=np.complex128)
         np.add.at(dense, (self.rows, self.cols), self.vals)
@@ -120,12 +111,11 @@ def build_rotating_momentum_hamiltonian(p: HubbardParams) -> HermitianOperator:
     -2J per particle; rotation at coupling xi raises the +hbar flow mode
     (beta) and lowers the -hbar one (gamma) by xi per particle.
     """
+    idx = np.arange(dimension(p.n), dtype=np.int64)
+    return HermitianOperator(idx.size, idx, idx, _mode_energies(p), Representation.MOMENTUM)
+
+
+def _mode_energies(p: HubbardParams) -> np.ndarray:
+    """Diagonal of the mode-number Hamiltonian over the canonical basis."""
     occ = enumerate_basis(p.n)
-    dim = dimension(p.n)
-    idx = np.arange(dim, dtype=np.int64)
-    energies = (
-        -2.0 * p.J * occ[:, 0]
-        + (p.J + p.xi) * occ[:, 1]
-        + (p.J - p.xi) * occ[:, 2]
-    ).astype(np.complex128)
-    return HermitianOperator(dim, idx, idx, energies, Representation.MOMENTUM)
+    return -2.0 * p.J * occ[:, 0] + (p.J + p.xi) * occ[:, 1] + (p.J - p.xi) * occ[:, 2]

@@ -6,7 +6,8 @@ doubled hold (4*pi/3) that inverts the first, and finally a mode-number
 readout.  For particle numbers divisible by three the whole sequence stays
 inside the span of the three extremal mode occupations, so it reduces to
 3x3 matrix algebra.  ``fringe_scan`` runs the same sequence in Fock space,
-point by point, and tabulates it beside those closed forms.
+point by point, with the sensing hold as direct mode-energy phases
+e^{-i dt E}, and tabulates it beside those closed forms.
 
 The readout fringes depend on the settings only through two dimensionless
 phases: phi_rot = n*xi*dt (rotation) and phi_hop = 3*n*J*dt (hopping).
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import SpectralPropagator, evolve_interaction_phase
-from .hamiltonian import HubbardParams, build_rotating_momentum_hamiltonian
+from .evolution import evolve_interaction_phase
+from .hamiltonian import HubbardParams, _mode_energies
 from .modes import dft_lift, extremal_columns, extremal_mode_probabilities
 from .protocol import CAT_HOLD_PHASE
 from .state import Representation, StateVector, superfluid_ground_state
@@ -155,9 +156,10 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
 
     The simulated columns run the interferometer in Fock space.  The 2*pi/3
     hold of the even condensate and its lift to momentum modes do not depend
-    on xi, so they run once; each xi then gets the sensing hold for ``dt``,
-    the lift back, the doubled hold and the extremal readout.  Only multiples
-    of three keep the state in the extremal subspace; other n are rejected.
+    on xi, so they run once; each xi then gets the sensing hold for ``dt``
+    (one phase per momentum ket), the lift back, the doubled hold and the
+    extremal readout.  Only multiples of three keep the state in the
+    extremal subspace; other n are rejected.
 
     The period column is measured from the spacing of the alpha-fringe
     maxima over the scan (NaN when the grid covers fewer than two peaks);
@@ -171,8 +173,9 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     closed = np.empty_like(sim)
     for i, xi in enumerate(xi_values):
-        hold = build_rotating_momentum_hamiltonian(HubbardParams(n=n, J=j, xi=float(xi)))
-        state = lift.to_site(SpectralPropagator(hold).evolve(cat, dt))
+        energies = _mode_energies(HubbardParams(n=n, J=j, xi=float(xi)))
+        held = StateVector(n, Representation.MOMENTUM, cat.amps * np.exp(-1j * dt * energies))
+        state = lift.to_site(held)
         sim[i] = extremal_mode_probabilities(evolve_interaction_phase(state, 2.0 * CAT_HOLD_PHASE))
         closed[i] = fringe_probabilities(FringeSettings.from_physical(n, j, float(xi), dt))
     xi_dt = xi_values * dt

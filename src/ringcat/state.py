@@ -59,7 +59,7 @@ class StateVector:
                 f"expected ({dimension(self.n)},) for n={self.n}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise NumericalHealthError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import ringcat.cli as cli
 import ringcat.protocol as protocol
 from ringcat.basis import multinomial_amplitudes
 from ringcat.cli import main
-from ringcat.modes import dft_lift
-from ringcat.state import Representation, StateVector
+from ringcat.modes import FockLift, dft_lift
+from ringcat.state import NumericalHealthError, Representation, StateVector
 
 
 def run_cli(*argv):
@@ -217,6 +219,46 @@ def test_exit_code_numerical_health_state_norm(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "superfluid_ground_state", drifted)
     assert run_cli("cat", "--n", "3", "--out", str(tmp_path / "h.csv")) == 4
     assert "state norm" in capsys.readouterr().err
+
+
+def test_unit_sum_check_rejects_nan():
+    with pytest.raises(NumericalHealthError, match="sums to nan"):
+        cli._check_unit_sum([math.nan], "probabilities")
+
+
+def test_fringes_point_loop_keeps_its_norm_checks(tmp_path, capsys, monkeypatch):
+    # the lift back hands over drifted amplitudes unchecked; the scan's own
+    # next state must catch the drift
+    to_site = FockLift.to_site
+
+    def drifted(self, s):
+        return SimpleNamespace(n=s.n, rep=Representation.SITE, amps=1.001 * to_site(self, s).amps)
+
+    monkeypatch.setattr(FockLift, "to_site", drifted)
+    assert run_cli("fringes", "--n", "3", "--grid", "8", "--out", str(tmp_path / "f.csv")) == 4
+    assert "state norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("cat", "--n", "3", "--delta", "1e308"), "--delta"),
+        (("cat", "--n", "3", "--theta-pi", "5e307"), "--theta-pi"),
+        (("cattiness-sweep", "--n-min", "1", "--n-max", "3", "--theta-pi", "5e307"), "--theta-pi"),
+        (("fringes", "--n", "3", "--xi", "1e308", "--dt", "10", "--grid", "4"), "--xi"),
+        (("calibrate-u", "--n", "3", "--theta-min-pi", "0", "--theta-max-pi", "5e307", "--grid", "5"),
+         "--theta-max-pi"),
+    ],
+    ids=["cat-delta", "cat-theta", "cattiness-sweep", "fringes", "calibrate-u"],
+)
+def test_overflowing_phase_is_refused(argv, flag, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ringcat: ") and flag in lines[0], lines
 
 
 def assert_refused_at_parse(capsys, *argv):

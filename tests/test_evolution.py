@@ -137,17 +137,6 @@ def test_composition_of_holds():
     assert np.max(np.abs(one.amps - two.amps)) < 1e-10
 
 
-def test_diagonal_fast_path_matches_dense_route():
-    n, j, xi = 5, 0.8, 0.25
-    op = build_rotating_momentum_hamiltonian(HubbardParams(n=n, J=j, xi=xi))
-    rng = np.random.default_rng(59)
-    s = random_state(n, rng, Representation.MOMENTUM)
-    fast = evolve_spectral(s, op, 1.9)
-    dense = dense_operator(op.to_dense(), Representation.MOMENTUM)
-    slow = evolve_spectral(s, dense, 1.9)
-    assert np.max(np.abs(fast.amps - slow.amps)) < 1e-12
-
-
 def test_spectral_rejects_mismatches():
     rng = np.random.default_rng(61)
     h = build_bose_hubbard(HubbardParams(n=3, J=1.0, U=1.0))

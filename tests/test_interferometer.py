@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ringcat.basis import rank
-from ringcat.evolution import evolve_interaction_phase
+from ringcat.evolution import evolve_interaction_phase, evolve_spectral
+from ringcat.hamiltonian import HubbardParams, build_rotating_momentum_hamiltonian
 from ringcat.interferometer import (
     FringeSettings,
     cat_matrix,
@@ -14,7 +15,7 @@ from ringcat.interferometer import (
     phase_matrix,
     protocol_subspace_matrix,
 )
-from ringcat.modes import FockLift, momentum_distribution
+from ringcat.modes import FockLift, dft_lift, extremal_mode_probabilities, momentum_distribution
 from ringcat.protocol import CAT_HOLD_PHASE
 from ringcat.state import superfluid_ground_state
 
@@ -177,3 +178,18 @@ def test_scan_lifts_the_cat_to_momentum_once(monkeypatch):
     assert calls == [30]
     for xi, row in zip(xi_values, scan.probs_sim):
         assert tuple(row) == full_simulation_fringes(30, 0.2, float(xi), 1.1), f"xi={xi}"
+
+
+def test_sensing_hold_phases_match_the_dense_propagator():
+    # the scan applies the mode-energy phases directly; the dense reference
+    # propagator on the same Hamiltonian must give the same readout
+    n, j, dt = 6, 0.35, 1.3
+    xi_values = np.array([0.0, 0.2, 0.7, 1.9])
+    lift = dft_lift(n)
+    cat = lift.to_momentum(evolve_interaction_phase(superfluid_ground_state(n), CAT_HOLD_PHASE))
+    scan = fringe_scan(n, j, xi_values, dt)
+    for xi, row in zip(xi_values, scan.probs_sim):
+        hold = build_rotating_momentum_hamiltonian(HubbardParams(n=n, J=j, xi=float(xi)))
+        state = lift.to_site(evolve_spectral(cat, hold, dt))
+        dense = extremal_mode_probabilities(evolve_interaction_phase(state, 2.0 * CAT_HOLD_PHASE))
+        assert np.max(np.abs(row - np.array(dense))) < 1e-12, f"xi={xi}"

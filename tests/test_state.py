@@ -8,6 +8,7 @@ from ringcat.evolution import evolve_interaction_phase
 from ringcat.hamiltonian import HubbardParams, build_bose_hubbard
 from ringcat.modes import extremal_mode_probabilities
 from ringcat.state import (
+    NumericalHealthError,
     Representation,
     StateVector,
     fock_state,
@@ -97,6 +98,11 @@ def test_state_vector_validates_norm_and_shape():
         StateVector(2, Representation.SITE, np.ones(dimension(2)))
     with pytest.raises(ValueError):
         StateVector(2, Representation.SITE, np.zeros(4))
+
+
+def test_state_vector_rejects_nan_amplitudes():
+    with pytest.raises(NumericalHealthError, match="state norm"):
+        StateVector(1, Representation.SITE, [math.nan, 0.0, 0.0])
 
 
 def test_state_vector_amplitudes_are_immutable():
