@@ -13,6 +13,15 @@ state norm or a probability sum drifted from 1 beyond its tolerance).
 Malformed flags, including non-finite or zero-denominator angles, are
 refused by the argument parser with exit code 2, and settings whose largest
 phase overflows a float are refused with exit code 2 before any work.
+
+So are settings whose largest structure, estimated in closed form from
+``--n`` and ``--grid``, would exceed ``SIZE_BUDGET`` (1 GiB): the lift's
+(n+1)^3 eigenbases for ``cat`` and ``fringes``, the hold-phase sweep's
+min(points, 2048) x dim phase buffer for ``timing`` and ``calibrate-u``, the
+per-n arrays ``cattiness-sweep`` keeps, and the emitted table.  The largest
+accepted N is 1890 for ``ground``, 511 for ``cat``, 510 for ``fringes``,
+252 for ``timing`` and for ``calibrate-u`` at 2048 or more grid points, and
+416 for ``cattiness-sweep`` from ``--n-min 1``.
 """
 
 from __future__ import annotations
@@ -24,11 +33,12 @@ import sys
 
 import numpy as np
 
-from .basis import enumerate_basis
+from .basis import dimension, enumerate_basis
 from .evolution import evolve_interaction_phase
 from .interferometer import fringe_scan
 from .modes import extremal_mode_probabilities, momentum_distribution
 from .protocol import (
+    _SWEEP_CHUNK,
     CAT_HOLD_PHASE,
     BracketError,
     _calibrate_on_grid,
@@ -42,6 +52,14 @@ from .state import NumericalHealthError, site_number_distribution, superfluid_gr
 __all__ = ["main"]
 
 SUM_TOL = 1e-10
+
+# Memory a command's largest structure may take; see _check_size.
+SIZE_BUDGET = 1 << 30
+# Bytes per emitted table value as Python objects and text (measured ~190).
+_CELL_BYTES = 200
+# Bytes kept per ket for each n a cattiness sweep visits: the cached basis,
+# amplitudes, pair counts and extremal columns (24 + 8 + 8 + 48).
+_CACHED_KET_BYTES = 88
 
 
 class PhysicsError(ValueError):
@@ -98,6 +116,33 @@ def _check_phase(setting: str, phase: float) -> None:
         raise ValueError(f"largest phase overflows a float; reduce {setting}")
 
 
+def _check_size(setting: str, nbytes: int) -> None:
+    """Refuse a setting whose largest structure would exceed ``SIZE_BUDGET``.
+
+    ``nbytes`` is a closed-form estimate, so the check runs before any array
+    work.  An estimate too large for a float reads as inf.
+    """
+    if nbytes > SIZE_BUDGET:
+        need = nbytes / 2**30 if nbytes.bit_length() < 1000 else math.inf
+        budget = SIZE_BUDGET >> 30
+        raise ValueError(f"needs about {need:.4g} GiB, above the {budget} GiB memory budget; reduce {setting}")
+
+
+def _table_bytes(rows: int, columns: int) -> int:
+    """An emitted table of ``rows`` x ``columns`` values."""
+    return _CELL_BYTES * rows * columns
+
+
+def _lift_bytes(n: int) -> int:
+    """The Fock lift's padded (n+1)^3 float64 hopping eigenbases."""
+    return 8 * (n + 1) ** 3
+
+
+def _sweep_bytes(n: int, points: int) -> int:
+    """The hold-phase sweep's min(points, 2048) x dim complex128 phase buffer."""
+    return 16 * min(points, _SWEEP_CHUNK) * dimension(n)
+
+
 def _emit(args, columns, rows, summary=None) -> None:
     rows = [[(int(v) if isinstance(v, (int, np.integer)) else float(v)) for v in row] for row in rows]
     if args.format == "json":
@@ -126,6 +171,7 @@ def _emit(args, columns, rows, summary=None) -> None:
 def cmd_ground(args) -> None:
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
+    _check_size("--n", _table_bytes(dimension(args.n), 3))
     dist = site_number_distribution(superfluid_ground_state(args.n))
     _check_unit_sum(list(dist.values()), "site distribution")
     rows = [[a, b, p] for (a, b), p in dist.items()]
@@ -135,6 +181,7 @@ def cmd_ground(args) -> None:
 def cmd_cat(args) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    _check_size("--n", max(_table_bytes(dimension(args.n), 3), _lift_bytes(args.n)))
     theta = args.theta * (1.0 + args.delta)
     _check_phase("--theta-pi or --delta", 0.5 * theta * (args.n * (args.n - 1)))
     final = evolve_interaction_phase(superfluid_ground_state(args.n), theta)
@@ -157,6 +204,8 @@ def cmd_cat(args) -> None:
 def cmd_cattiness_sweep(args) -> None:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError(f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
+    kets = math.comb(args.n_max + 3, 3) - math.comb(args.n_min + 2, 3)  # sum of dimension(n)
+    _check_size("--n-max", _CACHED_KET_BYTES * kets)
     _check_phase("--theta-pi", 0.5 * args.theta * (args.n_max * (args.n_max - 1)))
     results = cattiness_sweep(range(args.n_min, args.n_max + 1), args.theta)
     rows = [[r.n, r.p_alpha, r.p_beta, r.p_gamma, r.cattiness] for r in results]
@@ -170,6 +219,7 @@ def cmd_timing(args) -> None:
     bad = [n for n in ns if n < 3 or n % 3 != 0]
     if bad:
         raise PhysicsError(f"timing tolerance needs positive multiples of 3, got {bad}")
+    _check_size("--n", _sweep_bytes(max(ns), _SWEEP_CHUNK))
     rows = []
     for n in ns:
         d0 = timing_tolerance(n, args.c_target)
@@ -192,6 +242,8 @@ def cmd_calibrate_u(args) -> None:
         raise ValueError(f"--grid must be >= 3, got {args.grid}")
     if not args.theta_min < args.theta_max:
         raise ValueError("--theta-min-pi must be below --theta-max-pi")
+    _check_size("--n", _sweep_bytes(args.n, args.grid))
+    _check_size("--grid", _table_bytes(args.grid, 2))
     widest = max(abs(args.theta_min), abs(args.theta_max))
     _check_phase("--theta-min-pi or --theta-max-pi", 0.5 * widest * (args.n * (args.n - 1)))
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
@@ -214,6 +266,8 @@ def cmd_fringes(args) -> None:
         raise PhysicsError(f"fringes need a positive multiple of 3, got {args.n}")
     if args.grid < 2 or args.xi <= 0 or args.dt <= 0:
         raise ValueError("need --grid >= 2, --xi > 0 and --dt > 0")
+    _check_size("--n", _lift_bytes(args.n))
+    _check_size("--grid", _table_bytes(args.grid, 9))
     _check_phase("--j, --xi or --dt", 3.0 * args.n * (abs(args.j) + args.xi) * args.dt)
     xi_values = np.linspace(0.0, args.xi, args.grid)
     scan = fringe_scan(args.n, args.j, xi_values, args.dt)

@@ -42,6 +42,8 @@ __all__ = [
 CAT_HOLD_PHASE = 2.0 * math.pi / 3.0
 
 # Theta points per block of the sweep; sizes its one (points x dim) phase buffer.
+# The block also fixes how BLAS splits and rounds the ``@ wconj`` product, so a
+# different block size (or a merged tail) moves output bits.
 _SWEEP_CHUNK = 2048
 
 # Timing-tolerance scan: grid step 1e-4/n in delta, and the largest delta scanned.
@@ -92,10 +94,15 @@ def run_protocol(n: int, theta: float = CAT_HOLD_PHASE) -> ProtocolResult:
 
 @lru_cache(maxsize=None)
 def _sweep_inputs(n: int):
+    """Per-n sweep inputs: ``ground``, ``uhalf``, ``where`` and ``wconj``.
+
+    ``uhalf`` holds the distinct half pair counts and ``uhalf[where]`` is the
+    half pair count of every ket; ``wconj`` is the conjugated extremal columns.
+    """
     ground = multinomial_amplitudes(n)
-    half = 0.5 * pair_counts(n).astype(np.float64)
+    uhalf, where = np.unique(0.5 * pair_counts(n).astype(np.float64), return_inverse=True)
     wconj = np.ascontiguousarray(extremal_columns(n).conj())
-    return ground, half, wconj
+    return ground, uhalf, where, wconj
 
 
 def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
@@ -104,17 +111,25 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     Each grid point is an independent pure computation, so callers may fan
     points out to workers freely; this vectorized path exists because the
     tolerance and calibration searches evaluate thousands of them.
+
+    The hold multiplies each ket by exp(-1j*theta*m/2), with m its pair
+    count, and m takes few distinct values (64 at n = 30, 437 at n = 90,
+    against dimensions 496 and 4186).  So ``exp`` runs on the distinct
+    values only and the result is gathered onto the kets; equal arguments
+    give equal bits, so this matches a per-ket ``exp`` exactly.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
-    ground, half, wconj = _sweep_inputs(n)
+    ground, uhalf, where, wconj = _sweep_inputs(n)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty((thetas.size, 3), dtype=np.float64)
-    buf = np.empty((min(thetas.size, _SWEEP_CHUNK), half.size), dtype=np.complex128)
+    buf = np.empty((min(thetas.size, _SWEEP_CHUNK), where.size), dtype=np.complex128)
     for lo in range(0, thetas.size, _SWEEP_CHUNK):
         th = thetas[lo : lo + _SWEEP_CHUNK]
-        phases = np.multiply(-1j, np.outer(th, half), out=buf[: th.size])
-        np.exp(phases, out=phases)
+        uph = np.exp(np.multiply(-1j, np.outer(th, uhalf)))
+        # mode="clip" lets take write straight into the buffer; "raise" would copy
+        phases = np.take(uph, where, axis=1, out=buf[: th.size], mode="clip")
+        del uph  # not held through the matmul, to keep the peak at one buffer
         phases *= ground
         out[lo : lo + th.size] = np.abs(phases @ wconj) ** 2
     return out

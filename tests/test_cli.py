@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -255,10 +256,72 @@ def test_overflowing_phase_is_refused(argv, flag, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning fails the test
         assert run_cli(*argv) == 2
+    assert_one_line_refusal(capsys, flag)
+
+
+def assert_one_line_refusal(capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ringcat: ") and flag in lines[0], lines
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("ground", "--n", "10000000"), "--n"),
+        (("cat", "--n", "10000000"), "--n"),
+        (("timing", "--n", "3000000"), "--n"),
+        (("calibrate-u", "--n", "3000000", "--grid", "5"), "--n"),
+        (("cattiness-sweep", "--n-min", "10000000", "--n-max", "10000000"), "--n-max"),
+        (("fringes", "--n", "3000", "--grid", "4"), "--n"),
+        (("calibrate-u", "--n", "3", "--grid", "1000000000000"), "--grid"),
+        (("fringes", "--n", "3", "--grid", "1000000000000"), "--grid"),
+        (("cat", "--n", "1" + "0" * 400), "--n"),
+    ],
+    ids=["ground", "cat", "timing", "calibrate-u", "cattiness-sweep", "fringes", "calibrate-u-grid",
+         "fringes-grid", "cat-400-digits"],
+)
+def test_oversized_setting_is_refused_before_any_array_work(argv, flag, capsys):
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20, f"{peak} bytes traced before the refusal"
+    line = assert_one_line_refusal(capsys, flag)
+    assert "1 GiB memory budget" in line and line.endswith(f"reduce {flag}"), line
+
+
+class Reached(Exception):
+    """Raised by a stub standing in for a command's first array work."""
+
+
+@pytest.mark.parametrize(
+    "argv, largest, step, stage",
+    [
+        (("ground", "--n"), 1890, 1, "superfluid_ground_state"),
+        (("cat", "--n"), 511, 1, "superfluid_ground_state"),
+        (("cattiness-sweep", "--n-min", "1", "--n-max"), 416, 1, "cattiness_sweep"),
+        (("timing", "--n"), 252, 3, "timing_tolerance"),
+        (("calibrate-u", "--grid", "2048", "--n"), 252, 3, "_calibrate_on_grid"),
+        (("calibrate-u", "--n"), 1050, 3, "_calibrate_on_grid"),
+        (("fringes", "--n"), 510, 3, "fringe_scan"),
+    ],
+    ids=["ground", "cat", "cattiness-sweep", "timing", "calibrate-u-2048", "calibrate-u-121", "fringes"],
+)
+def test_size_budget_sets_each_commands_largest_n(argv, largest, step, stage, monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, stage, reached)
+    with pytest.raises(Reached):
+        run_cli(*argv, str(largest))
+    assert run_cli(*argv, str(largest + step)) == 2
+    assert "memory budget" in capsys.readouterr().err
 
 
 def assert_refused_at_parse(capsys, *argv):

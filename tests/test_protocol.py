@@ -281,4 +281,43 @@ def test_sweep_reuses_one_chunk_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk buffers"
+    assert peak < 1.3 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk buffers"
+
+
+def per_ket_exp_sweeps(n, thetas, sizes):
+    """The sweep over ``thetas[:size]`` for each size, with ``exp`` taken per ket.
+
+    The arithmetic of the sweep before ``exp`` ran on distinct pair counts
+    only: exp(-1j * outer(theta, half)) over every ket, times the ground
+    amplitudes, then ``@ wconj`` in 2048-row blocks.  The exp is elementwise,
+    so it runs once over the longest grid.
+    """
+    from ringcat.basis import multinomial_amplitudes, pair_counts
+    from ringcat.modes import extremal_columns
+
+    half = 0.5 * pair_counts(n).astype(np.float64)
+    wconj = np.ascontiguousarray(extremal_columns(n).conj())
+    phases = np.exp(np.multiply(-1j, np.outer(thetas[: max(sizes)], half)))
+    phases *= multinomial_amplitudes(n)
+    for size in sizes:
+        out = np.empty((size, 3))
+        for lo in range(0, size, 2048):
+            hi = min(lo + 2048, size)
+            out[lo:hi] = np.abs(phases[lo:hi] @ wconj) ** 2
+        yield size, out
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [(n, (0, 1, 2, 17, 2048, 2049, 4001)) for n in (1, 2, 3, 30, 60)] + [(90, (1, 2, 2049))],
+)
+def test_distinct_pair_count_exp_keeps_every_bit(n, sizes):
+    thetas = np.linspace(0.1, 2.0 * math.pi + 0.3, 4001)
+    for size, expected in per_ket_exp_sweeps(n, thetas, sizes):
+        assert np.array_equal(sweep_protocol_probabilities(n, thetas[:size]), expected), size
+
+
+def test_sweep_exponentiates_distinct_pair_counts_only():
+    for n, distinct in ((30, 64), (90, 437)):
+        uhalf = protocol._sweep_inputs(n)[1]
+        assert uhalf.size == distinct < dimension(n)
