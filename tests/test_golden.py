@@ -40,6 +40,10 @@ COMMANDS = [
     "fringes --n 30 --xi 1 --grid 256",
     "fringes --n 9 --j 0.3 --xi 0.9 --dt 1.3 --grid 64 --format json",
     "calibrate-u --n 6 --theta-min-pi 0.6666666666666666 --theta-max-pi 0.6666666666666667 --grid 121",
+    "ground --n 30 --format json",
+    "cattiness-sweep --n-min 1 --n-max 31 --format json",
+    "timing --n 3,6,9 --format json",
+    "calibrate-u --n 6 --grid 121 --format json",
 ]
 
 TOL = 1e-12
