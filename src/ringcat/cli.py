@@ -18,17 +18,21 @@ So are settings whose largest structure, estimated in closed form from
 ``--n`` and ``--grid``, would exceed ``SIZE_BUDGET`` (1 GiB): the lift's
 (n+1)^3 eigenbases for ``cat`` and ``fringes``, the hold-phase sweep's
 min(points, 2048) x dim phase buffer for ``timing`` and ``calibrate-u``, the
-per-n arrays ``cattiness-sweep`` keeps, and the emitted table.  The largest
-accepted N is 1890 for ``ground``, 511 for ``cat``, 510 for ``fringes``,
-252 for ``timing`` and for ``calibrate-u`` at 2048 or more grid points, and
-416 for ``cattiness-sweep`` from ``--n-min 1``.
+per-n cached arrays ``cattiness-sweep`` keeps (it keeps no n's final state),
+and the emitted table at 200 bytes per value, a conservative bound (about
+45 measured in CSV and JSON).  The largest accepted N is 1890 for
+``ground``, 511 for ``cat``, 510 for ``fringes``, 252 for ``timing`` and for
+``calibrate-u`` at 2048 or more grid points, and 416 for ``cattiness-sweep``
+from ``--n-min 1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -44,10 +48,10 @@ from .protocol import (
     _calibrate_on_grid,
     cattiness,
     cattiness_curve,
-    cattiness_sweep,
+    run_protocol,
     timing_tolerance,
 )
-from .state import NumericalHealthError, site_number_distribution, superfluid_ground_state
+from .state import NumericalHealthError, superfluid_ground_state
 
 __all__ = ["main"]
 
@@ -55,7 +59,8 @@ SUM_TOL = 1e-10
 
 # Memory a command's largest structure may take; see _check_size.
 SIZE_BUDGET = 1 << 30
-# Bytes per emitted table value as Python objects and text (measured ~190).
+# Bytes per emitted table value, a conservative bound (measured ~45 in CSV
+# and JSON: the Python objects of one row tuple list; the text is streamed).
 _CELL_BYTES = 200
 # Bytes kept per ket for each n a cattiness sweep visits: the cached basis,
 # amplitudes, pair counts and extremal columns (24 + 8 + 8 + 48).
@@ -99,9 +104,7 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return str(value) if isinstance(value, int) else format(value, ".17g")
 
 
 def _check_unit_sum(values, label: str, tol: float = SUM_TOL) -> None:
@@ -143,28 +146,36 @@ def _sweep_bytes(n: int, points: int) -> int:
     return 16 * min(points, _SWEEP_CHUNK) * dimension(n)
 
 
-def _emit(args, columns, rows, summary=None) -> None:
-    rows = [[(int(v) if isinstance(v, (int, np.integer)) else float(v)) for v in row] for row in rows]
+def _csv_lines(columns, rows, summary):
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(_fmt, row)) + "\n"
+    for key, value in summary.items():
+        yield f"# {key} = {_fmt(value)}\n"
+
+
+def _emit(args, table, summary=None) -> None:
+    """Write ``table`` and ``summary`` as CSV or JSON to ``args.out``.
+
+    ``table`` maps each column name to an equal-length 1-D array.  This is
+    the only place numbers become text: each column goes through one
+    ``.tolist()``, so integer columns print as integers and float columns
+    as 17 significant digits (CSV) or Python's shortest round-trip repr
+    (JSON).  The text is streamed to the handle, never held as one string.
+    """
+    rows = list(zip(*(column.tolist() for column in table.values())))
     if args.format == "json":
-        payload = {
-            "command": args.command,
-            "columns": list(columns),
-            "rows": rows,
-        }
+        payload = {"command": args.command, "columns": list(table), "rows": rows}
         if summary:
-            payload["summary"] = {k: (float(v) if isinstance(v, (float, np.floating)) else v) for k, v in summary.items()}
-        text = json.dumps(payload, indent=2) + "\n"
+            payload["summary"] = summary
+        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), "\n")
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        if summary:
-            lines += [f"# {key} = {_fmt(value)}" for key, value in summary.items()]
-        text = "\n".join(lines) + "\n"
+        chunks = _csv_lines(table, rows, summary or {})
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(args.out, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         print(f"wrote {args.out} ({len(rows)} rows)")
 
 
@@ -172,10 +183,10 @@ def cmd_ground(args) -> None:
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     _check_size("--n", _table_bytes(dimension(args.n), 3))
-    dist = site_number_distribution(superfluid_ground_state(args.n))
-    _check_unit_sum(list(dist.values()), "site distribution")
-    rows = [[a, b, p] for (a, b), p in dist.items()]
-    _emit(args, ("n_a", "n_b", "p"), rows)
+    probs = superfluid_ground_state(args.n).probabilities()
+    _check_unit_sum(probs, "site distribution")
+    occ = enumerate_basis(args.n)
+    _emit(args, {"n_a": occ[:, 0], "n_b": occ[:, 1], "p": probs})
 
 
 def cmd_cat(args) -> None:
@@ -189,7 +200,6 @@ def cmd_cat(args) -> None:
     _check_unit_sum(dist, "momentum distribution")
     pa, pb, pg = extremal_mode_probabilities(final)
     occ = enumerate_basis(args.n)
-    rows = [[int(m[0]), int(m[1]), float(p)] for m, p in zip(occ, dist)]
     summary = {
         "n": args.n,
         "theta": theta,
@@ -198,7 +208,7 @@ def cmd_cat(args) -> None:
         "p_gamma": pg,
         "cattiness": cattiness(pa, pb, pg),
     }
-    _emit(args, ("n_alpha", "n_beta", "p"), rows, summary)
+    _emit(args, {"n_alpha": occ[:, 0], "n_beta": occ[:, 1], "p": dist}, summary)
 
 
 def cmd_cattiness_sweep(args) -> None:
@@ -207,9 +217,11 @@ def cmd_cattiness_sweep(args) -> None:
     kets = math.comb(args.n_max + 3, 3) - math.comb(args.n_min + 2, 3)  # sum of dimension(n)
     _check_size("--n-max", _CACHED_KET_BYTES * kets)
     _check_phase("--theta-pi", 0.5 * args.theta * (args.n_max * (args.n_max - 1)))
-    results = cattiness_sweep(range(args.n_min, args.n_max + 1), args.theta)
-    rows = [[r.n, r.p_alpha, r.p_beta, r.p_gamma, r.cattiness] for r in results]
-    _emit(args, ("n", "p_alpha", "p_beta", "p_gamma", "cattiness"), rows)
+    ns = np.arange(args.n_min, args.n_max + 1)
+    numbers = operator.attrgetter("p_alpha", "p_beta", "p_gamma", "cattiness")
+    # one N at a time: only its numbers, not its final state, outlive the run
+    pa, pb, pg, c = np.array([numbers(run_protocol(n, args.theta)) for n in ns.tolist()]).T
+    _emit(args, {"n": ns, "p_alpha": pa, "p_beta": pb, "p_gamma": pg, "cattiness": c})
 
 
 def cmd_timing(args) -> None:
@@ -220,19 +232,16 @@ def cmd_timing(args) -> None:
     if bad:
         raise PhysicsError(f"timing tolerance needs positive multiples of 3, got {bad}")
     _check_size("--n", _sweep_bytes(max(ns), _SWEEP_CHUNK))
-    rows = []
-    for n in ns:
-        d0 = timing_tolerance(n, args.c_target)
-        rows.append([n, d0, 1.0 / d0, n * d0])
-    ns_arr = np.array([row[0] for row in rows], dtype=np.float64)
-    inv = np.array([row[2] for row in rows])
-    slope = float(np.sum(ns_arr * inv) / np.sum(ns_arr * ns_arr))
+    d0 = np.array([timing_tolerance(n, args.c_target) for n in ns])
+    inv = 1.0 / d0
+    x = np.array(ns, dtype=np.float64)
+    slope = float(np.sum(x * inv) / np.sum(x * x))
     summary = {
         "c_target": args.c_target,
         "fit_slope_inv_delta0_vs_n": slope,
         "fit_prefactor": 1.0 / slope,
     }
-    _emit(args, ("n", "delta0", "inv_delta0", "n_delta0"), rows, summary)
+    _emit(args, {"n": np.array(ns), "delta0": d0, "inv_delta0": inv, "n_delta0": x * d0}, summary)
 
 
 def cmd_calibrate_u(args) -> None:
@@ -251,14 +260,13 @@ def cmd_calibrate_u(args) -> None:
         star, values = _calibrate_on_grid(args.n, thetas)
     except BracketError as exc:
         raise PhysicsError(str(exc)) from exc
-    rows = [[float(t), float(c)] for t, c in zip(thetas, values)]
     summary = {
         "n": args.n,
         "theta_star": star,
         "theta_star_pi": star / math.pi,
         "c_star": float(cattiness_curve(args.n, np.array([star]))[0]),
     }
-    _emit(args, ("theta", "cattiness"), rows, summary)
+    _emit(args, {"theta": thetas, "cattiness": values}, summary)
 
 
 def cmd_fringes(args) -> None:
@@ -273,28 +281,10 @@ def cmd_fringes(args) -> None:
     scan = fringe_scan(args.n, args.j, xi_values, args.dt)
     for i in range(xi_values.size):
         _check_unit_sum(scan.probs_sim[i], f"fringe probabilities at row {i}")
-    rows = [
-        [
-            float(xi_values[i]),
-            float(scan.xi_dt[i]),
-            *map(float, scan.probs_sim[i]),
-            *map(float, scan.probs_closed[i]),
-            float(scan.period_xi_dt),
-        ]
-        for i in range(xi_values.size)
-    ]
-    columns = (
-        "xi",
-        "xi_dt",
-        "p_alpha",
-        "p_beta",
-        "p_gamma",
-        "p_alpha_closed",
-        "p_beta_closed",
-        "p_gamma_closed",
-        "period_xi_dt",
-    )
-    _emit(args, columns, rows)
+    (pa, pb, pg), (ca, cb, cg) = scan.probs_sim.T, scan.probs_closed.T
+    period = np.full(args.grid, scan.period_xi_dt)
+    _emit(args, {"xi": xi_values, "xi_dt": scan.xi_dt, "p_alpha": pa, "p_beta": pb, "p_gamma": pg,
+                 "p_alpha_closed": ca, "p_beta_closed": cb, "p_gamma_closed": cg, "period_xi_dt": period})
 
 
 def _build_parser() -> argparse.ArgumentParser:

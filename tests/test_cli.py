@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import ringcat.cli as cli
 import ringcat.protocol as protocol
-from ringcat.basis import multinomial_amplitudes
+from ringcat.basis import dimension, multinomial_amplitudes
 from ringcat.cli import main
 from ringcat.modes import FockLift, dft_lift
 from ringcat.state import NumericalHealthError, Representation, StateVector
@@ -96,6 +97,34 @@ def test_cattiness_sweep_comb(tmp_path):
         assert table[n] < 1.0 - 1e-3
 
 
+def test_cattiness_sweep_frees_each_final_state_before_the_next_n(tmp_path, monkeypatch):
+    states = []
+    hold = protocol.evolve_interaction_phase
+
+    def tracked(s, theta):
+        assert all(ref() is None for ref in states), f"a final state is still alive when n={s.n} starts"
+        final = hold(s, theta)
+        states.append(weakref.ref(final))
+        return final
+
+    monkeypatch.setattr(protocol, "evolve_interaction_phase", tracked)
+    assert run_cli("cattiness-sweep", "--n-min", "1", "--n-max", "6", "--out", str(tmp_path / "s.csv")) == 0
+    assert len(states) == 6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_stays_within_its_budget_estimate(fmt, tmp_path):
+    out = str(tmp_path / f"g.{fmt}")
+    assert run_cli("ground", "--n", "300", "--out", out) == 0  # warms the cached basis and amplitudes
+    tracemalloc.start()
+    try:
+        assert run_cli("ground", "--n", "300", "--format", fmt, "--out", out) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cli._table_bytes(dimension(300), 3)
+
+
 def test_timing_table_and_fit(tmp_path):
     out = tmp_path / "timing.csv"
     assert run_cli("timing", "--n", "3,6,9", "--out", str(out)) == 0
@@ -158,7 +187,7 @@ def test_json_mirrors_csv_fields(tmp_path):
     assert np.allclose(payload["rows"], rows, atol=0)
 
 
-def test_determinism_byte_identical(tmp_path):
+def test_determinism_byte_identical(tmp_path, capsys):
     pairs = [
         ("ground", "--n", "7"),
         ("cat", "--n", "6", "--theta-pi", "2/3"),
@@ -174,6 +203,9 @@ def test_determinism_byte_identical(tmp_path):
             assert run_cli(*argv, "--format", fmt, "--out", str(p1)) == 0
             assert run_cli(*argv, "--format", fmt, "--out", str(p2)) == 0
             assert p1.read_bytes() == p2.read_bytes(), argv
+            capsys.readouterr()
+            assert run_cli(*argv, "--format", fmt) == 0
+            assert capsys.readouterr().out.encode() == p1.read_bytes(), argv
 
 
 def test_rational_angle_parsing(tmp_path):
@@ -305,7 +337,7 @@ class Reached(Exception):
     [
         (("ground", "--n"), 1890, 1, "superfluid_ground_state"),
         (("cat", "--n"), 511, 1, "superfluid_ground_state"),
-        (("cattiness-sweep", "--n-min", "1", "--n-max"), 416, 1, "cattiness_sweep"),
+        (("cattiness-sweep", "--n-min", "1", "--n-max"), 416, 1, "run_protocol"),
         (("timing", "--n"), 252, 3, "timing_tolerance"),
         (("calibrate-u", "--grid", "2048", "--n"), 252, 3, "_calibrate_on_grid"),
         (("calibrate-u", "--n"), 1050, 3, "_calibrate_on_grid"),
