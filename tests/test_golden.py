@@ -44,6 +44,8 @@ COMMANDS = [
     "cattiness-sweep --n-min 1 --n-max 31 --format json",
     "timing --n 3,6,9 --format json",
     "calibrate-u --n 6 --grid 121 --format json",
+    "cat --n 30 --delta 0.05 --format json",
+    "timing --n 3 --c-target 0.01",
 ]
 
 TOL = 1e-12
