@@ -48,14 +48,10 @@ def enumerate_basis(n: int) -> np.ndarray:
     the triple with rank ``i``; the array is read-only and cached.
     """
     dim = dimension(n)
-    occ = np.empty((dim, 3), dtype=np.int64)
-    i = 0
-    for n0 in range(n, -1, -1):
-        for n1 in range(n - n0, -1, -1):
-            occ[i, 0] = n0
-            occ[i, 1] = n1
-            occ[i, 2] = n - n0 - n1
-            i += 1
+    # the closed form of ``unrank``: m = n - n0 and n2 = i - m(m+1)/2 at rank i
+    m = np.repeat(np.arange(n + 1, dtype=np.int64), np.arange(1, n + 2))
+    n2 = np.arange(dim, dtype=np.int64) - m * (m + 1) // 2
+    occ = np.stack([n - m, m - n2, n2], axis=1)
     occ.setflags(write=False)
     return occ
 

@@ -32,22 +32,20 @@ import argparse
 import itertools
 import json
 import math
-import operator
 import sys
 
 import numpy as np
 
 from .basis import dimension, enumerate_basis
-from .evolution import evolve_interaction_phase
 from .interferometer import fringe_scan
-from .modes import extremal_mode_probabilities, momentum_distribution
+from .modes import momentum_distribution
 from .protocol import (
     _SWEEP_CHUNK,
     CAT_HOLD_PHASE,
     BracketError,
     _calibrate_on_grid,
-    cattiness,
     cattiness_curve,
+    cattiness_sweep,
     run_protocol,
     timing_tolerance,
 )
@@ -195,18 +193,17 @@ def cmd_cat(args) -> None:
     _check_size("--n", max(_table_bytes(dimension(args.n), 3), _lift_bytes(args.n)))
     theta = args.theta * (1.0 + args.delta)
     _check_phase("--theta-pi or --delta", 0.5 * theta * (args.n * (args.n - 1)))
-    final = evolve_interaction_phase(superfluid_ground_state(args.n), theta)
-    dist = momentum_distribution(final)
+    r = run_protocol(args.n, theta)
+    dist = momentum_distribution(r.state)
     _check_unit_sum(dist, "momentum distribution")
-    pa, pb, pg = extremal_mode_probabilities(final)
     occ = enumerate_basis(args.n)
     summary = {
         "n": args.n,
         "theta": theta,
-        "p_alpha": pa,
-        "p_beta": pb,
-        "p_gamma": pg,
-        "cattiness": cattiness(pa, pb, pg),
+        "p_alpha": r.p_alpha,
+        "p_beta": r.p_beta,
+        "p_gamma": r.p_gamma,
+        "cattiness": r.cattiness,
     }
     _emit(args, {"n_alpha": occ[:, 0], "n_beta": occ[:, 1], "p": dist}, summary)
 
@@ -218,9 +215,7 @@ def cmd_cattiness_sweep(args) -> None:
     _check_size("--n-max", _CACHED_KET_BYTES * kets)
     _check_phase("--theta-pi", 0.5 * args.theta * (args.n_max * (args.n_max - 1)))
     ns = np.arange(args.n_min, args.n_max + 1)
-    numbers = operator.attrgetter("p_alpha", "p_beta", "p_gamma", "cattiness")
-    # one N at a time: only its numbers, not its final state, outlive the run
-    pa, pb, pg, c = np.array([numbers(run_protocol(n, args.theta)) for n in ns.tolist()]).T
+    pa, pb, pg, c = cattiness_sweep(ns, args.theta).T
     _emit(args, {"n": ns, "p_alpha": pa, "p_beta": pb, "p_gamma": pg, "cattiness": c})
 
 

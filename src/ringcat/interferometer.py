@@ -25,8 +25,8 @@ import numpy as np
 from .evolution import evolve_interaction_phase
 from .hamiltonian import HubbardParams, _mode_energies
 from .modes import dft_lift, extremal_columns, extremal_mode_probabilities
-from .protocol import CAT_HOLD_PHASE
-from .state import Representation, StateVector, superfluid_ground_state
+from .protocol import CAT_HOLD_PHASE, run_protocol
+from .state import Representation, StateVector
 
 __all__ = [
     "FringeSettings",
@@ -154,8 +154,8 @@ def _peak_positions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     """Sweep the rotation coupling and tabulate simulated and closed-form fringes.
 
-    The simulated columns run the interferometer in Fock space.  The 2*pi/3
-    hold of the even condensate and its lift to momentum modes do not depend
+    The simulated columns run the interferometer in Fock space.  The cat,
+    ``run_protocol(n).state``, and its lift to momentum modes do not depend
     on xi, so they run once; each xi then gets the sensing hold for ``dt``
     (one phase per momentum ket), the lift back, the doubled hold and the
     extremal readout.  Only multiples of three keep the state in the
@@ -168,7 +168,7 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     if n < 1 or n % 3 != 0:
         raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
     lift = dft_lift(n)
-    cat = lift.to_momentum(evolve_interaction_phase(superfluid_ground_state(n), CAT_HOLD_PHASE))
+    cat = lift.to_momentum(run_protocol(n).state)
     xi_values = np.asarray(xi_values, dtype=np.float64)
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     closed = np.empty_like(sim)

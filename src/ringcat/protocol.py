@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -166,9 +167,16 @@ def cattiness(p_alpha: float, p_beta: float, p_gamma: float) -> float:
     return 3.0 * float(np.cbrt(product))
 
 
-def cattiness_sweep(n_values, theta: float = CAT_HOLD_PHASE) -> list[ProtocolResult]:
-    """Protocol results for each particle number, at a common hold phase."""
-    return [run_protocol(int(n), theta) for n in n_values]
+def cattiness_sweep(n_values, theta: float = CAT_HOLD_PHASE) -> np.ndarray:
+    """(P_alpha, P_beta, P_gamma, cattiness) per particle number, at a common hold phase.
+
+    Returns a float64 array of shape (len(n_values), 4), one row per n in
+    the given order.  Each n gets its own ``run_protocol``, one at a time:
+    only its four numbers outlive the run, never its final state.
+    """
+    numbers = attrgetter("p_alpha", "p_beta", "p_gamma", "cattiness")
+    rows = [numbers(run_protocol(int(n), theta)) for n in n_values]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
 def cattiness_curve(n: int, thetas) -> np.ndarray:
@@ -199,28 +207,18 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
         raise ValueError(f"target {c_target} unreachable: cattiness below it at delta = 0")
 
     # block scan until the curve first dips below the target
-    lo = 0.0
-    block = 4096
-    crossing = None
     start = 0.0
-    while start < _TIMING_DELTA_MAX and crossing is None:
-        deltas = start + step * np.arange(1, block + 1)
+    while True:
+        deltas = start + step * np.arange(1, 4097)
         deltas = deltas[deltas <= _TIMING_DELTA_MAX]
         if deltas.size == 0:
-            break
-        values = c_of_delta(deltas)
-        below = np.nonzero(values < c_target)[0]
+            raise ValueError(f"no crossing below {c_target} found for delta <= {_TIMING_DELTA_MAX}")
+        below = np.nonzero(c_of_delta(deltas) < c_target)[0]
         if below.size:
-            k = int(below[0])
-            lo = deltas[k - 1] if k > 0 else start
-            crossing = deltas[k]
-        else:
-            start = deltas[-1]
-            lo = start
-    if crossing is None:
-        raise ValueError(f"no crossing below {c_target} found for delta <= {_TIMING_DELTA_MAX}")
-
-    hi = float(crossing)
+            break
+        start = deltas[-1]
+    k = int(below[0])
+    lo, hi = (deltas[k - 1] if k else start), float(deltas[k])
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if c_of_delta(np.array([mid]))[0] >= c_target:

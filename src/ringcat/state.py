@@ -52,7 +52,7 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        amps = np.array(self.amps, dtype=np.complex128)  # own copy: the caller's array stays theirs
         if amps.shape != (dimension(self.n),):
             raise ValueError(
                 f"amplitude array has shape {amps.shape}, "

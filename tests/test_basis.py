@@ -38,9 +38,10 @@ def test_dimension_rejects_negative():
 
 
 def test_enumeration_matches_brute_force():
-    for n in range(13):
+    for n in (*range(13), 40):
         occ = enumerate_basis(n)
         assert occ.shape == (dimension(n), 3)
+        assert occ.dtype == np.int64
         assert [tuple(row) for row in occ] == brute_force_basis(n)
 
 

@@ -249,7 +249,7 @@ def test_exit_code_numerical_health_state_norm(tmp_path, capsys, monkeypatch):
     def drifted(n):
         return StateVector(n, Representation.SITE, 1.001 * multinomial_amplitudes(n))
 
-    monkeypatch.setattr(cli, "superfluid_ground_state", drifted)
+    monkeypatch.setattr(protocol, "superfluid_ground_state", drifted)
     assert run_cli("cat", "--n", "3", "--out", str(tmp_path / "h.csv")) == 4
     assert "state norm" in capsys.readouterr().err
 
@@ -336,8 +336,8 @@ class Reached(Exception):
     "argv, largest, step, stage",
     [
         (("ground", "--n"), 1890, 1, "superfluid_ground_state"),
-        (("cat", "--n"), 511, 1, "superfluid_ground_state"),
-        (("cattiness-sweep", "--n-min", "1", "--n-max"), 416, 1, "run_protocol"),
+        (("cat", "--n"), 511, 1, "run_protocol"),
+        (("cattiness-sweep", "--n-min", "1", "--n-max"), 416, 1, "cattiness_sweep"),
         (("timing", "--n"), 252, 3, "timing_tolerance"),
         (("calibrate-u", "--grid", "2048", "--n"), 252, 3, "_calibrate_on_grid"),
         (("calibrate-u", "--n"), 1050, 3, "_calibrate_on_grid"),

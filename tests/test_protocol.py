@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -122,16 +123,40 @@ def test_cattiness_values():
 
 
 def test_cattiness_sweep_comb_pattern():
-    results = cattiness_sweep(range(1, 32))
-    by_n = {r.n: r for r in results}
+    rows = cattiness_sweep(range(1, 32))
+    assert rows.shape == (31, 4) and rows.dtype == np.float64
+    by_n = dict(zip(range(1, 32), rows))
     for n in range(3, 31, 3):
-        assert by_n[n].cattiness == pytest.approx(1.0, abs=1e-10), f"n={n}"
+        assert by_n[n][3] == pytest.approx(1.0, abs=1e-10), f"n={n}"
     for n in range(1, 32):
         if n % 3:
-            assert by_n[n].cattiness < 1.0 - 1e-3, f"n={n}"
+            assert by_n[n][3] < 1.0 - 1e-3, f"n={n}"
     # smallest case: a single particle picks up no pair phases at all
-    assert by_n[1].p_alpha == pytest.approx(1.0, abs=1e-14)
-    assert by_n[1].cattiness == pytest.approx(0.0, abs=1e-15)
+    assert by_n[1][0] == pytest.approx(1.0, abs=1e-14)
+    assert by_n[1][3] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_cattiness_sweep_rows_are_the_protocol_numbers():
+    rows = cattiness_sweep([7, 3], 1.3)
+    for row, n in zip(rows, (7, 3)):
+        r = run_protocol(n, 1.3)
+        assert tuple(row) == (r.p_alpha, r.p_beta, r.p_gamma, r.cattiness)
+    assert cattiness_sweep([]).shape == (0, 4)
+
+
+def test_cattiness_sweep_frees_each_final_state_before_the_next_n(monkeypatch):
+    states = []
+    hold = protocol.evolve_interaction_phase
+
+    def tracked(s, theta):
+        assert all(ref() is None for ref in states), f"a final state is still alive when n={s.n} starts"
+        final = hold(s, theta)
+        states.append(weakref.ref(final))
+        return final
+
+    monkeypatch.setattr(protocol, "evolve_interaction_phase", tracked)
+    cattiness_sweep(range(1, 7))
+    assert len(states) == 6
 
 
 def test_cattiness_is_even_and_periodic_in_theta():

@@ -111,6 +111,14 @@ def test_state_vector_amplitudes_are_immutable():
         g.amps[0] = 0.0
 
 
+def test_state_vector_copies_the_callers_array():
+    a = np.array([1.0 + 0.0j])
+    s = StateVector(0, Representation.SITE, a)
+    assert a.flags.writeable
+    a[0] = 5.0
+    assert s.amps[0] == 1.0
+
+
 def test_distribution_sums_to_one_for_evolved_states():
     rng = np.random.default_rng(11)
     for n in (2, 5, 9):
