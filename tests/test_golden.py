@@ -46,6 +46,7 @@ COMMANDS = [
     "calibrate-u --n 6 --grid 121 --format json",
     "cat --n 30 --delta 0.05 --format json",
     "timing --n 3 --c-target 0.01",
+    "timing --n 30,60,90 --format json",
 ]
 
 TOL = 1e-12
