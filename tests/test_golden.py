@@ -47,6 +47,7 @@ COMMANDS = [
     "cat --n 30 --delta 0.05 --format json",
     "timing --n 3 --c-target 0.01",
     "timing --n 30,60,90 --format json",
+    "timing --n 15 --c-target 0.01 --format json",
 ]
 
 TOL = 1e-12
