@@ -31,8 +31,12 @@ def evolve_interaction_phase(s: StateVector, ut: float) -> StateVector:
     """
     if s.rep is not Representation.SITE:
         raise ValueError("interaction hold is diagonal in the site representation only")
-    phases = np.exp(-0.5j * ut * pair_counts(s.n))
-    return StateVector(s.n, s.rep, s.amps * phases)
+    return StateVector(s.n, s.rep, s.amps * _interaction_phases(s.n, ut))
+
+
+def _interaction_phases(n: int, ut: float) -> np.ndarray:
+    """The hold's per-ket phases e^{-i (ut/2) m}, with m the ket's pair count."""
+    return np.exp(-0.5j * ut * pair_counts(n))
 
 
 class SpectralPropagator:

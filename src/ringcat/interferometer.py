@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import evolve_interaction_phase
+from .evolution import _interaction_phases, evolve_interaction_phase
 from .hamiltonian import HubbardParams, _mode_energies
-from .modes import dft_lift, extremal_columns, extremal_mode_probabilities
+from .modes import dft_lift, extremal_columns
 from .protocol import CAT_HOLD_PHASE, run_protocol
 from .state import Representation, StateVector
 
@@ -156,9 +156,10 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
 
     The simulated columns run the interferometer in Fock space.  The cat,
     ``run_protocol(n).state``, and its lift to momentum modes do not depend
-    on xi, so they run once; each xi then gets the sensing hold for ``dt``
-    (one phase per momentum ket), the lift back, the doubled hold and the
-    extremal readout.  Only multiples of three keep the state in the
+    on xi, so they run once, as do the doubled hold's phases and the
+    conjugated readout columns; each xi then gets the sensing hold for
+    ``dt`` (one phase per momentum ket), the lift back, the doubled hold and
+    the extremal readout.  Only multiples of three keep the state in the
     extremal subspace; other n are rejected.
 
     The period column is measured from the spacing of the alpha-fringe
@@ -169,6 +170,8 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
         raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
     lift = dft_lift(n)
     cat = lift.to_momentum(run_protocol(n).state)
+    inverse_hold = _interaction_phases(n, 2.0 * CAT_HOLD_PHASE)
+    readout = extremal_columns(n).conj().T
     xi_values = np.asarray(xi_values, dtype=np.float64)
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     closed = np.empty_like(sim)
@@ -176,7 +179,8 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
         energies = _mode_energies(HubbardParams(n=n, J=j, xi=float(xi)))
         held = StateVector(n, Representation.MOMENTUM, cat.amps * np.exp(-1j * dt * energies))
         state = lift.to_site(held)
-        sim[i] = extremal_mode_probabilities(evolve_interaction_phase(state, 2.0 * CAT_HOLD_PHASE))
+        final = StateVector(n, Representation.SITE, state.amps * inverse_hold)
+        sim[i] = [float(abs(a)) ** 2 for a in readout @ final.amps]
         closed[i] = fringe_probabilities(FringeSettings.from_physical(n, j, float(xi), dt))
     xi_dt = xi_values * dt
     peaks = _peak_positions(xi_dt, closed[:, 0])

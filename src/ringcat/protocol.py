@@ -21,7 +21,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .basis import multinomial_amplitudes, pair_counts
+from .basis import dimension, multinomial_amplitudes, pair_counts
 from .evolution import evolve_interaction_phase
 from .modes import extremal_columns, extremal_mode_probabilities
 from .state import StateVector, superfluid_ground_state
@@ -50,6 +50,16 @@ _SWEEP_CHUNK = 2048
 # Timing-tolerance scan: grid step 1e-4/n in delta, and the largest delta scanned.
 _TIMING_STEP = 1e-4
 _TIMING_DELTA_MAX = 1.5
+
+# Per unit of basis dimension: how far the series product of the three probabilities
+# may lie from the sweep's.  Both paths multiply the same exp values by the same
+# ground and extremal amplitudes and differ only in summation order.  ground and
+# each extremal column have unit norm, so by Cauchy-Schwarz the sum of |terms|
+# behind each amplitude is at most 1, and the two amplitudes differ by at most
+# ~3*dim*eps.  Each |A|^2 <= 1 then moves by at most ~6*dim*eps and the product
+# of three by at most ~18*dim*eps.  64 leaves room for that, and for the few ulp
+# of rounding in the cube (c/3)^3 <= 1/27 and in the sweep's 3*cbrt.
+_SERIES_MARGIN = 64 * np.finfo(np.float64).eps
 
 # Closed forms for the three-particle mode-condensate probabilities as
 # cosine series in theta: P = (c0 + c1 cos t + c2 cos 2t + c3 cos 3t) / 81.
@@ -136,6 +146,55 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _series_coefficients(n: int) -> np.ndarray:
+    """Hold-phase series coefficients b, shape (len(uhalf), 3).
+
+    b[m, k] sums ground * conj(extremal column k) over the kets whose half
+    pair count is ``uhalf[m]``, so the extremal amplitudes at hold phase
+    theta are exp(-1j * theta * uhalf) @ b: one term per distinct pair count.
+    """
+    ground, uhalf, where, wconj = _sweep_inputs(n)
+    b = np.zeros((uhalf.size, 3), dtype=np.complex128)
+    np.add.at(b, where, ground[:, None] * wconj)
+    return b
+
+
+def _series_products(n: int, thetas: np.ndarray) -> np.ndarray:
+    """P_alpha * P_beta * P_gamma at each hold phase, summed over the series.
+
+    The exp table is the one the sweep builds for the same thetas; only the
+    order of the sums differs, which ``_SERIES_MARGIN`` bounds.
+    """
+    uph = np.exp(np.multiply(-1j, np.outer(thetas, _sweep_inputs(n)[1])))
+    return np.prod(np.abs(uph @ _series_coefficients(n)) ** 2, axis=1)
+
+
+def _first_below(n: int, deltas: np.ndarray, c_target: float) -> int | None:
+    """Index of the first timing error in ``deltas`` whose cattiness is below ``c_target``.
+
+    Returns None when there is none.  ``deltas`` is scanned in the sweep's
+    2048-row chunks, stopping at the first chunk with a crossing.  A chunk is
+    decided by the series when every product up to and including its first
+    one below the cube (c_target/3)^3 lies more than the margin from that
+    cube: then the sweep compares the same way on each of those rows.
+    Otherwise the chunk runs through the exact sweep, as the same rows, so
+    the answer is the sweep's either way.
+    """
+    cube = (c_target / 3.0) ** 3
+    margin = _SERIES_MARGIN * dimension(n)
+    for lo in range(0, deltas.size, _SWEEP_CHUNK):
+        thetas = (1.0 + deltas[lo : lo + _SWEEP_CHUNK]) * CAT_HOLD_PHASE
+        prod = _series_products(n, thetas)
+        below = np.flatnonzero(prod < cube)
+        upto = below[0] + 1 if below.size else prod.size
+        if np.any(np.abs(prod[:upto] - cube) <= margin):
+            below = np.flatnonzero(cattiness_curve(n, thetas) < c_target)
+        if below.size:
+            return lo + int(below[0])
+    return None
+
+
 def analytic_P3(theta) -> tuple:
     """Closed-form (P_alpha, P_beta) for three particles; accepts arrays.
 
@@ -193,6 +252,18 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
     scan in steps of 1e-4/n up to delta = 1.5 and refined by bisection to
     1e-9.  A plain bisection from delta = 0 would risk landing on a revival
     lobe of the oscillatory curve instead of the first crossing.
+
+    The scan only needs the sign of c - c_target at each grid point.  The
+    extremal amplitudes are trigonometric series in theta, one term per
+    distinct pair count (437 at n = 90, against dimension 4186), so each
+    2048-point chunk is first compared through that series.  Where a
+    product of the three probabilities lies within 64 * dim * eps of the
+    cube (c_target/3)^3, the series cannot prove the comparison and the
+    chunk runs through the exact sweep instead.  The two differ only in
+    summation order over unit-norm vectors, which bounds their gap by
+    ~18 * dim * eps.  So the crossing found, and every output bit, is the
+    exact sweep's.  The delta = 0 check and the bisection use the exact
+    sweep directly.
     """
     if n < 1 or n % 3 != 0:
         raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
@@ -200,10 +271,10 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
         raise ValueError(f"cattiness target must lie in (0, 1), got {c_target}")
     step = _TIMING_STEP / n
 
-    def c_of_delta(deltas):
-        return cattiness_curve(n, (1.0 + np.asarray(deltas)) * CAT_HOLD_PHASE)
+    def c_at(delta):
+        return cattiness_curve(n, np.array([(1.0 + delta) * CAT_HOLD_PHASE]))[0]
 
-    if c_of_delta(np.array([0.0]))[0] < c_target:
+    if c_at(0.0) < c_target:
         raise ValueError(f"target {c_target} unreachable: cattiness below it at delta = 0")
 
     # block scan until the curve first dips below the target
@@ -213,15 +284,14 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
         deltas = deltas[deltas <= _TIMING_DELTA_MAX]
         if deltas.size == 0:
             raise ValueError(f"no crossing below {c_target} found for delta <= {_TIMING_DELTA_MAX}")
-        below = np.nonzero(c_of_delta(deltas) < c_target)[0]
-        if below.size:
+        k = _first_below(n, deltas, c_target)
+        if k is not None:
             break
         start = deltas[-1]
-    k = int(below[0])
     lo, hi = (deltas[k - 1] if k else start), float(deltas[k])
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if c_of_delta(np.array([mid]))[0] >= c_target:
+        if c_at(mid) >= c_target:
             lo = mid
         else:
             hi = mid

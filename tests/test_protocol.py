@@ -346,3 +346,99 @@ def test_sweep_exponentiates_distinct_pair_counts_only():
     for n, distinct in ((30, 64), (90, 437)):
         uhalf = protocol._sweep_inputs(n)[1]
         assert uhalf.size == distinct < dimension(n)
+
+
+def plain_block_scan(n, c_target):
+    """``timing_tolerance`` as a plain block scan: every grid point through the exact sweep.
+
+    The same grid, blocks, bisection and messages, with each 4096-point
+    block's cattiness taken from ``cattiness_curve`` and compared directly.
+    """
+
+    def c_of_delta(deltas):
+        return cattiness_curve(n, (1.0 + np.asarray(deltas)) * CAT_HOLD_PHASE)
+
+    if c_of_delta(np.array([0.0]))[0] < c_target:
+        raise ValueError(f"target {c_target} unreachable: cattiness below it at delta = 0")
+    step, start = 1e-4 / n, 0.0
+    while True:
+        deltas = start + step * np.arange(1, 4097)
+        deltas = deltas[deltas <= 1.5]
+        if deltas.size == 0:
+            raise ValueError(f"no crossing below {c_target} found for delta <= 1.5")
+        below = np.nonzero(c_of_delta(deltas) < c_target)[0]
+        if below.size:
+            break
+        start = deltas[-1]
+    k = int(below[0])
+    lo, hi = (deltas[k - 1] if k else start), float(deltas[k])
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if c_of_delta(np.array([mid]))[0] >= c_target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def tolerance_or_message(scan, n, c_target):
+    try:
+        return scan(n, c_target)
+    except ValueError as err:
+        return str(err)
+
+
+def test_timing_scan_keeps_the_plain_block_scans_results():
+    cases = [(n, c) for n in (3, 6, 24, 30, 60) for c in (0.5, 0.9, 0.99)] + [(3, 0.01)]
+    for n, c_target in cases:
+        got = tolerance_or_message(timing_tolerance, n, c_target)
+        assert got == tolerance_or_message(plain_block_scan, n, c_target), (n, c_target)
+    assert got == "no crossing below 0.01 found for delta <= 1.5"
+
+
+def test_timing_scan_with_every_chunk_on_the_exact_sweep(monkeypatch):
+    # an infinite margin lets the series decide nothing: each chunk falls back
+    monkeypatch.setattr(protocol, "_SERIES_MARGIN", math.inf)
+    for n, c_target in ((6, 0.9), (24, 0.9), (30, 0.5), (60, 0.99), (3, 0.01)):
+        got = tolerance_or_message(timing_tolerance, n, c_target)
+        assert got == tolerance_or_message(plain_block_scan, n, c_target), (n, c_target)
+
+
+def test_timing_scan_keeps_the_sweeps_answer_for_any_series_inside_the_margin(monkeypatch):
+    # the decision rule, not only the real series' accuracy: a stand-in series
+    # off by up to 0.99 of a margin widened to about one grid step's change in
+    # the product must still give the exact scan's answer
+    rng = np.random.default_rng(11)
+    monkeypatch.setattr(protocol, "_SERIES_MARGIN", 1e-7)
+
+    def noisy(n, thetas):
+        swept = np.prod(sweep_protocol_probabilities(n, thetas), axis=1)
+        return swept + 0.99e-7 * dimension(n) * rng.uniform(-1.0, 1.0, swept.size)
+
+    monkeypatch.setattr(protocol, "_series_products", noisy)
+    for n in (3, 6):
+        for c_target in np.linspace(0.3, 0.99, 20):
+            got = tolerance_or_message(timing_tolerance, n, c_target)
+            assert got == tolerance_or_message(plain_block_scan, n, c_target), (n, c_target)
+
+
+def test_timing_scan_runs_the_exact_sweep_one_point_at_a_time(monkeypatch):
+    sizes = []
+    sweep = protocol.sweep_protocol_probabilities
+
+    def counted(n, thetas):
+        sizes.append(np.size(thetas))
+        return sweep(n, thetas)
+
+    monkeypatch.setattr(protocol, "sweep_protocol_probabilities", counted)
+    timing_tolerance(30, c_target=0.9)
+    assert sizes and max(sizes) == 1, f"exact sweeps of {sorted(set(sizes))} points"
+
+
+@pytest.mark.parametrize("n", [3, 30, 90, 150])
+def test_series_products_stay_far_inside_the_margin(n):
+    thetas = np.random.default_rng(7).uniform(-2.0 * math.pi, 4.0 * math.pi, 256)
+    series = protocol._series_products(n, thetas)
+    swept = np.prod(sweep_protocol_probabilities(n, thetas), axis=1)
+    margin = protocol._SERIES_MARGIN * dimension(n)
+    assert np.max(np.abs(series - swept)) <= margin / 1000
