@@ -106,9 +106,13 @@ def _fmt(value) -> str:
 
 
 def _check_unit_sum(values, label: str, tol: float = SUM_TOL) -> None:
-    total = float(np.sum(values))
-    if not abs(total - 1.0) <= tol:
-        raise NumericalHealthError(f"{label} sums to {total!r}, expected 1 within {tol}")
+    """Refuse values that do not sum to 1; a 2-D array is checked row by row."""
+    totals = np.atleast_1d(np.sum(values, axis=-1))
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= tol))
+    if bad.size:
+        i = int(bad[0])
+        where = f" at row {i}" if np.ndim(values) > 1 else ""
+        raise NumericalHealthError(f"{label}{where} sums to {float(totals[i])!r}, expected 1 within {tol}")
 
 
 def _check_phase(setting: str, phase: float) -> None:
@@ -274,8 +278,7 @@ def cmd_fringes(args) -> None:
     _check_phase("--j, --xi or --dt", 3.0 * args.n * (abs(args.j) + args.xi) * args.dt)
     xi_values = np.linspace(0.0, args.xi, args.grid)
     scan = fringe_scan(args.n, args.j, xi_values, args.dt)
-    for i in range(xi_values.size):
-        _check_unit_sum(scan.probs_sim[i], f"fringe probabilities at row {i}")
+    _check_unit_sum(scan.probs_sim, "fringe probabilities")
     (pa, pb, pg), (ca, cb, cg) = scan.probs_sim.T, scan.probs_closed.T
     period = np.full(args.grid, scan.period_xi_dt)
     _emit(args, {"xi": xi_values, "xi_dt": scan.xi_dt, "p_alpha": pa, "p_beta": pb, "p_gamma": pg,

@@ -112,10 +112,15 @@ def build_rotating_momentum_hamiltonian(p: HubbardParams) -> HermitianOperator:
     (beta) and lowers the -hbar one (gamma) by xi per particle.
     """
     idx = np.arange(dimension(p.n), dtype=np.int64)
-    return HermitianOperator(idx.size, idx, idx, _mode_energies(p), Representation.MOMENTUM)
+    energies = _mode_energies(p.n, p.J, p.xi)
+    return HermitianOperator(idx.size, idx, idx, energies, Representation.MOMENTUM)
 
 
-def _mode_energies(p: HubbardParams) -> np.ndarray:
-    """Diagonal of the mode-number Hamiltonian over the canonical basis."""
-    occ = enumerate_basis(p.n)
-    return -2.0 * p.J * occ[:, 0] + (p.J + p.xi) * occ[:, 1] + (p.J - p.xi) * occ[:, 2]
+def _mode_energies(n: int, j: float, xi) -> np.ndarray:
+    """Diagonal of the mode-number Hamiltonian over the canonical basis.
+
+    ``xi`` is a float, giving shape (dim,), or a column of shape (m, 1),
+    giving one row of energies per coupling with the same bits.
+    """
+    occ = enumerate_basis(n)
+    return -2.0 * j * occ[:, 0] + (j + xi) * occ[:, 1] + (j - xi) * occ[:, 2]

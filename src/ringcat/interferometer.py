@@ -6,8 +6,9 @@ doubled hold (4*pi/3) that inverts the first, and finally a mode-number
 readout.  For particle numbers divisible by three the whole sequence stays
 inside the span of the three extremal mode occupations, so it reduces to
 3x3 matrix algebra.  ``fringe_scan`` runs the same sequence in Fock space,
-point by point, with the sensing hold as direct mode-energy phases
-e^{-i dt E}, and tabulates it beside those closed forms.
+a block of xi values at a time, with the sensing hold as direct mode-energy
+phases e^{-i dt E}, and tabulates it beside those closed forms.  Each row
+has the same bits as a one-point scan of its xi.
 
 The readout fringes depend on the settings only through two dimensionless
 phases: phi_rot = n*xi*dt (rotation) and phi_hop = 3*n*J*dt (hopping).
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import _interaction_phases, evolve_interaction_phase
-from .hamiltonian import HubbardParams, _mode_energies
+from .hamiltonian import _mode_energies
 from .modes import dft_lift, extremal_columns
 from .protocol import CAT_HOLD_PHASE, run_protocol
-from .state import Representation, StateVector
+from .state import Representation, StateVector, _check_norms
 
 __all__ = [
     "FringeSettings",
@@ -38,6 +39,16 @@ __all__ = [
     "FringeScan",
     "fringe_scan",
 ]
+
+
+# Bytes of one (rows x (n+1)^2) complex array of a scan block; 256 KiB keeps
+# peak memory near a one-point loop's, where 4 MiB added about 20 MB.
+_BLOCK_BYTES = 1 << 18
+# From this many kets on, numpy evaluates cat * exp(...) of a single state in
+# place in the exp temporary ("temporary elision", 256 KiB and up), that is
+# as exp(...) * cat.  The AVX-512 complex multiply is not bitwise
+# commutative, so a block takes the operand order a single state gets.
+_ELIDE_KETS = (1 << 18) // 16
 
 
 @dataclass(frozen=True)
@@ -157,10 +168,15 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     The simulated columns run the interferometer in Fock space.  The cat,
     ``run_protocol(n).state``, and its lift to momentum modes do not depend
     on xi, so they run once, as do the doubled hold's phases and the
-    conjugated readout columns; each xi then gets the sensing hold for
-    ``dt`` (one phase per momentum ket), the lift back, the doubled hold and
-    the extremal readout.  Only multiples of three keep the state in the
-    extremal subspace; other n are rejected.
+    conjugated readout columns.  The xi values then go through in blocks of
+    rows: one vectorized pass makes a block's mode energies and sensing
+    phases for ``dt``, one lift takes all its rows back to sites, and the
+    doubled hold, the norm checks and the extremal readout run on the
+    whole block.  Each row keeps the bits of a one-point scan, because the
+    lift's BLAS calls and the readout's per-row products have the shapes
+    of a single state.  Only multiples of three keep the state in the
+    extremal subspace; other n are rejected, as are a non-finite ``j`` or
+    xi.
 
     The period column is measured from the spacing of the alpha-fringe
     maxima over the scan (NaN when the grid covers fewer than two peaks);
@@ -168,19 +184,29 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     """
     if n < 1 or n % 3 != 0:
         raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
+    xi_values = np.asarray(xi_values, dtype=np.float64)
+    if not (math.isfinite(j) and np.isfinite(xi_values).all()):
+        raise ValueError(f"J and every xi must be finite, got J={j!r}")
     lift = dft_lift(n)
-    cat = lift.to_momentum(run_protocol(n).state)
+    cat = lift.to_momentum(run_protocol(n).state).amps
     inverse_hold = _interaction_phases(n, 2.0 * CAT_HOLD_PHASE)
     readout = extremal_columns(n).conj().T
-    xi_values = np.asarray(xi_values, dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     closed = np.empty_like(sim)
+    for lo in range(0, xi_values.size, rows):
+        held = np.exp(-1j * dt * _mode_energies(n, j, xi_values[lo : lo + rows, None]))
+        if cat.size >= _ELIDE_KETS:
+            held *= cat
+        else:
+            np.multiply(cat, held, out=held)
+        _check_norms(held)
+        final = lift.to_site_rows(held)
+        final *= inverse_hold
+        _check_norms(final)
+        for i, amps in enumerate(readout @ final[:, :, None], lo):
+            sim[i] = [float(abs(a)) ** 2 for a in amps[:, 0]]
     for i, xi in enumerate(xi_values):
-        energies = _mode_energies(HubbardParams(n=n, J=j, xi=float(xi)))
-        held = StateVector(n, Representation.MOMENTUM, cat.amps * np.exp(-1j * dt * energies))
-        state = lift.to_site(held)
-        final = StateVector(n, Representation.SITE, state.amps * inverse_hold)
-        sim[i] = [float(abs(a)) ** 2 for a in readout @ final.amps]
         closed[i] = fringe_probabilities(FringeSettings.from_physical(n, j, float(xi), dt))
     xi_dt = xi_values * dt
     peaks = _peak_positions(xi_dt, closed[:, 0])

@@ -46,7 +46,7 @@ __all__ = [
 
 # mode pairs (p, q) of the three Givens rotations, in the order they act
 _PAIRS = ((1, 2), (0, 1), (1, 2))
-# columns of the dense matrix built per batch, which bounds the workspace
+# kets of the dense matrix built per batch, which bounds the workspace
 _MATRIX_BATCH = 256
 
 
@@ -187,25 +187,35 @@ class _Sweep:
         return cls(n, phases, turns)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Act on the columns of x, shape (dim, m)."""
+        """Act on the rows of x, shape (m, dim): one state per row.
+
+        Every BLAS call has the shape of a single state's: each rotation
+        is one broadcast ``np.matmul`` of the (n+1) x (n+1) eigenbases with
+        y shaped (m, n+1, n+1, 2), the real view of one complex column per
+        block, so it runs m * (n+1) products of (n+1) x (n+1) times
+        (n+1) x 2.  A row therefore gets the same bits alone as in any
+        stack.  States are never put side by side as columns of one
+        product: BLAS rounds widths of 1-2 columns differently from wider
+        ones (a few 1e-15).
+        """
         n = self.n
         vecs, _ = _hopping_eigenbases(n)
         vecs_t = vecs.transpose(0, 2, 1)  # BLAS reads the transpose in place
         gathers = _gathers(n)
-        width = x.shape[1]
-        y = np.zeros((x.shape[0] + 1, width), dtype=np.complex128)
-        y[:-1] = x
+        rows = x.shape[0]
+        y = np.zeros((rows, x.shape[1] + 1), dtype=np.complex128)
+        y[:, :-1] = x
         for gather, phase, turn in zip(gathers[:3], self.phases[:3], self.turns):
-            y = y[gather]
-            y *= phase[:, None]
+            y = y[:, gather]
+            y *= phase
             if turn is not None:
-                y = y.reshape(n + 1, n + 1, width)
+                y = y.reshape(rows, n + 1, n + 1, 1)
                 y = np.matmul(vecs_t, y.view(np.float64)).view(np.complex128)
                 y *= turn
                 y = np.matmul(vecs, y.view(np.float64)).view(np.complex128)
-                y = y.reshape(-1, width)
-        y = y[gathers[3]]
-        y *= self.phases[3][:, None]
+                y = y.reshape(rows, -1)
+        y = y[:, gathers[3]]
+        y *= self.phases[3]
         return y
 
 
@@ -215,9 +225,10 @@ class FockLift:
 
     ``to_momentum`` maps site-representation amplitudes to momentum
     amplitudes over the canonical basis, and ``to_site`` maps them back
-    with the adjoint.  ``matrix`` is the same map as a dense array.  It is
-    built on first access and cached, so it costs O(dim^2) memory only
-    where it is read.
+    with the adjoint; ``to_site_rows`` maps a stack of momentum rows back
+    without building states.  ``matrix`` is the same map as a dense
+    array.  It is built on first access and cached, so it costs O(dim^2)
+    memory only where it is read.
     """
 
     n: int
@@ -229,22 +240,27 @@ class FockLift:
         dim = dimension(self.n)
         out = np.empty((dim, dim), dtype=np.complex128)
         for lo in range(0, dim, _MATRIX_BATCH):
-            cols = np.eye(dim, min(_MATRIX_BATCH, dim - lo), -lo, dtype=np.complex128)
-            out[:, lo : lo + cols.shape[1]] = self.forward.apply(cols)
+            kets = np.eye(min(_MATRIX_BATCH, dim - lo), dim, lo, dtype=np.complex128)
+            out[:, lo : lo + kets.shape[0]] = self.forward.apply(kets).T
         out.setflags(write=False)
         return out
 
     def to_momentum(self, s: StateVector) -> StateVector:
         if s.rep is not Representation.SITE:
             raise ValueError("to_momentum expects a site-representation state")
-        amps = self.forward.apply(s.amps[:, None])[:, 0]
-        return StateVector(s.n, Representation.MOMENTUM, amps)
+        return StateVector(s.n, Representation.MOMENTUM, self.forward.apply(s.amps[None])[0])
 
     def to_site(self, s: StateVector) -> StateVector:
         if s.rep is not Representation.MOMENTUM:
             raise ValueError("to_site expects a momentum-representation state")
-        amps = self.adjoint.apply(s.amps[:, None])[:, 0]
-        return StateVector(s.n, Representation.SITE, amps)
+        return StateVector(s.n, Representation.SITE, self.to_site_rows(s.amps[None])[0])
+
+    def to_site_rows(self, amps: np.ndarray) -> np.ndarray:
+        """Momentum amplitudes, one state per row, mapped back to sites.
+
+        The rows are returned unchecked; the caller checks their norms.
+        """
+        return self.adjoint.apply(amps)
 
 
 def lift_to_fock(f: np.ndarray, n: int) -> FockLift:

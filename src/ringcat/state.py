@@ -58,9 +58,7 @@ class StateVector:
                 f"amplitude array has shape {amps.shape}, "
                 f"expected ({dimension(self.n)},) for n={self.n}"
             )
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise NumericalHealthError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+        _check_norms(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -71,6 +69,18 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         """|amplitude|^2 over the canonical basis order."""
         return np.abs(self.amps) ** 2
+
+
+def _check_norms(amps: np.ndarray) -> None:
+    """Refuse amplitudes, one state per row (or one 1-D state), off norm 1.
+
+    Raises ``NumericalHealthError`` naming the first norm that is not 1
+    within ``NORM_TOL``; a nan norm fails too.
+    """
+    norms = np.atleast_1d(np.linalg.norm(amps, axis=-1))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+    if bad.size:
+        raise NumericalHealthError(f"state norm {float(norms[bad[0]])!r} is not 1 within {NORM_TOL}")
 
 
 def superfluid_ground_state(n: int) -> StateVector:

@@ -3,7 +3,6 @@ import math
 import tracemalloc
 import warnings
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -259,15 +258,21 @@ def test_unit_sum_check_rejects_nan():
         cli._check_unit_sum([math.nan], "probabilities")
 
 
+def test_unit_sum_check_names_the_first_bad_row():
+    rows = np.array([[0.5, 0.5], [0.5, 0.6], [0.2, 0.2], [0.5, 0.5]])
+    with pytest.raises(NumericalHealthError, match=r"fringe probabilities at row 1 sums to 1\.1"):
+        cli._check_unit_sum(rows, "fringe probabilities")
+
+
 def test_fringes_point_loop_keeps_its_norm_checks(tmp_path, capsys, monkeypatch):
-    # the lift back hands over drifted amplitudes unchecked; the scan's own
-    # next state must catch the drift
-    to_site = FockLift.to_site
+    # the lift back hands over drifted rows unchecked; the scan's own norm
+    # checks must catch the drift
+    to_site_rows = FockLift.to_site_rows
 
-    def drifted(self, s):
-        return SimpleNamespace(n=s.n, rep=Representation.SITE, amps=1.001 * to_site(self, s).amps)
+    def drifted(self, amps):
+        return 1.001 * to_site_rows(self, amps)
 
-    monkeypatch.setattr(FockLift, "to_site", drifted)
+    monkeypatch.setattr(FockLift, "to_site_rows", drifted)
     assert run_cli("fringes", "--n", "3", "--grid", "8", "--out", str(tmp_path / "f.csv")) == 4
     assert "state norm" in capsys.readouterr().err
 

@@ -5,10 +5,11 @@ Each command in ``tests/golden.json`` runs in-process through
 (summary scalars, plus a sum and a row-weighted sum of every column) must
 match the record at 1e-12, except ``theta_star``, which the calibration
 resolves only to a few 1e-9; a recorded NaN (a fringe period the grid
-cannot measure) must come back as NaN.  On the machine the record was taken on (same
-numpy, BLAS build, SIMD extensions and architecture) the sha256 of stdout
-must match as well; elsewhere BLAS may pick other kernels and round the
-last bits differently, so only the numbers are compared.
+cannot measure) must come back as NaN.  On the machine the record was
+taken on (same numpy, BLAS build, SIMD extensions and architecture) the
+sha256 of stdout must match as well; elsewhere BLAS may pick other
+kernels and round the last bits differently, so only the numbers are
+compared.
 
 Regenerate the record with ``PYTHONPATH=src python tests/test_golden.py``,
 and only in a change that names the output bytes it moves and why.
@@ -120,7 +121,8 @@ def test_cli_output_matches_the_golden_record():
         assert sorted(expected["numbers"]) == sorted(want["numbers"]), command
         for key, value in want["numbers"].items():
             tol = LOOSE_TOL.get(key, TOL)
-            assert expected["numbers"][key] == pytest.approx(value, rel=tol, abs=tol, nan_ok=True), (command, key)
+            want_value = pytest.approx(value, rel=tol, abs=tol, nan_ok=True)
+            assert expected["numbers"][key] == want_value, (command, key)
         if same_machine:
             assert expected["sha256"] == want["sha256"], f"stdout bytes moved: {command}"
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ringcat.basis import rank
-from ringcat.evolution import evolve_interaction_phase, evolve_spectral
-from ringcat.hamiltonian import HubbardParams, build_rotating_momentum_hamiltonian
+from ringcat.evolution import _interaction_phases, evolve_interaction_phase, evolve_spectral
+from ringcat.hamiltonian import HubbardParams, _mode_energies, build_rotating_momentum_hamiltonian
 from ringcat.interferometer import (
+    _BLOCK_BYTES,
     FringeSettings,
     cat_matrix,
     fringe_probabilities,
@@ -15,9 +16,15 @@ from ringcat.interferometer import (
     phase_matrix,
     protocol_subspace_matrix,
 )
-from ringcat.modes import FockLift, dft_lift, extremal_mode_probabilities, momentum_distribution
-from ringcat.protocol import CAT_HOLD_PHASE
-from ringcat.state import superfluid_ground_state
+from ringcat.modes import (
+    FockLift,
+    dft_lift,
+    extremal_columns,
+    extremal_mode_probabilities,
+    momentum_distribution,
+)
+from ringcat.protocol import CAT_HOLD_PHASE, run_protocol
+from ringcat.state import Representation, StateVector, superfluid_ground_state
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
 
@@ -193,3 +200,40 @@ def test_sensing_hold_phases_match_the_dense_propagator():
         state = lift.to_site(evolve_spectral(cat, hold, dt))
         dense = extremal_mode_probabilities(evolve_interaction_phase(state, 2.0 * CAT_HOLD_PHASE))
         assert np.max(np.abs(row - np.array(dense))) < 1e-12, f"xi={xi}"
+
+
+def per_point_scan(n, j, xi_values, dt):
+    """Simulated fringes one xi at a time, every stage a checked state.
+
+    The one-point pipeline, kept as the oracle the block scan must match
+    bit for bit.
+    """
+    lift = dft_lift(n)
+    cat = lift.to_momentum(run_protocol(n).state)
+    inverse_hold = _interaction_phases(n, 2.0 * CAT_HOLD_PHASE)
+    readout = extremal_columns(n).conj().T
+    sim = np.empty((len(xi_values), 3))
+    for i, xi in enumerate(xi_values):
+        energies = _mode_energies(n, j, float(xi))
+        held = StateVector(n, Representation.MOMENTUM, cat.amps * np.exp(-1j * dt * energies))
+        state = lift.to_site(held)
+        final = StateVector(n, Representation.SITE, state.amps * inverse_hold)
+        sim[i] = [float(abs(a)) ** 2 for a in readout @ final.amps]
+    return sim
+
+
+@pytest.mark.parametrize("n", [3, 9, 30, 45, 177, 180])
+def test_block_scan_matches_the_per_point_oracle_bit_for_bit(n):
+    # 177 and 180 sit on either side of 16,384 kets, where the one-point
+    # sensing multiply changes operand order
+    rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
+    grid = 2 * rows + 1 if rows > 1 else 3  # a partial last block
+    xi_values = np.linspace(0.0, 2.0 * math.pi / n, grid)
+    scan = fringe_scan(n, 0.2, xi_values, 1.1)
+    assert scan.probs_sim.tobytes() == per_point_scan(n, 0.2, xi_values, 1.1).tobytes()
+
+
+@pytest.mark.parametrize("j, xi", [(math.nan, 0.5), (math.inf, 0.5), (0.2, math.nan), (0.2, -math.inf)])
+def test_scan_refuses_non_finite_settings(j, xi):
+    with pytest.raises(ValueError, match="finite"):
+        fringe_scan(3, j, [0.0, xi, 1.0], 1.0)

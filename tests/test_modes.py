@@ -14,7 +14,7 @@ from ringcat.modes import (
     lift_to_fock,
     momentum_distribution,
 )
-from ringcat.state import superfluid_ground_state
+from ringcat.state import Representation, StateVector, fock_state, superfluid_ground_state
 
 
 def haar_unitary(rng):
@@ -201,3 +201,20 @@ def test_lift_round_trip_between_representations():
     assert np.max(np.abs(back.amps - held.amps)) < 1e-12
     with pytest.raises(ValueError):
         lift.to_momentum(lift.to_momentum(held))
+
+
+@pytest.mark.parametrize("n", [1, 6, 30])
+def test_lift_of_a_stack_of_rows_matches_each_row_bit_for_bit(n):
+    rng = np.random.default_rng(41 + n)
+    lift = lift_to_fock(haar_unitary(rng), n)
+    dim = dimension(n)
+    rows = rng.normal(size=(7, dim)) + 1j * rng.normal(size=(7, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    for row, out in zip(rows, lift.to_site_rows(rows)):
+        alone = lift.to_site(StateVector(n, Representation.MOMENTUM, row)).amps
+        assert out.tobytes() == alone.tobytes()
+    # the dense matrix is the forward lift of stacks of basis kets
+    occ = enumerate_basis(n)
+    for k in {0, dim // 2, dim - 1}:
+        alone = lift.to_momentum(fock_state(occ[k], Representation.SITE)).amps
+        assert lift.matrix[:, k].tobytes() == alone.tobytes()
