@@ -52,6 +52,9 @@ COMMANDS = [
     "timing --n 15 --c-target 0.01 --format json",
     "fringes --n 180 --xi 0.05 --grid 4",
     "fringes --n 45 --xi 0.7 --grid 64 --format json",
+    "timing --n 150",
+    "timing --n 252 --c-target 0.95",
+    "timing --n 15,30,60 --c-target 0.01",
 ]
 
 TOL = 1e-12
