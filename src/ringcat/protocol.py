@@ -51,15 +51,25 @@ _SWEEP_CHUNK = 2048
 _TIMING_STEP = 1e-4
 _TIMING_DELTA_MAX = 1.5
 
-# Per unit of basis dimension: how far the series product of the three probabilities
-# may lie from the sweep's.  Both paths multiply the same exp values by the same
-# ground and extremal amplitudes and differ only in summation order.  ground and
-# each extremal column have unit norm, so by Cauchy-Schwarz the sum of |terms|
-# behind each amplitude is at most 1, and the two amplitudes differ by at most
-# ~3*dim*eps.  Each |A|^2 <= 1 then moves by at most ~6*dim*eps and the product
-# of three by at most ~18*dim*eps.  64 leaves room for that, and for the few ulp
-# of rounding in the cube (c/3)^3 <= 1/27 and in the sweep's 3*cbrt.
-_SERIES_MARGIN = 64 * np.finfo(np.float64).eps
+# The timing scan's hold-phase series (``_series_products``).  A chunk's rows are
+# evaluated as coarse rows times fine offsets, _SERIES_FINE offsets per coarse
+# row (32 coarse rows per 2048-row chunk); only the series' speed depends on it.
+_SERIES_FINE = 64
+
+# Error bounds behind the series' per-row margin, in units of eps.  ground and
+# each extremal column have unit norm, so by Cauchy-Schwarz the |terms| behind
+# each amplitude, like the |b[k, m]| of each series row, sum to at most 1.
+# - Summation order, per unit of basis dimension: the sweep sums dim kets, the
+#   series sums the kets into b and then the distinct pair counts, so their
+#   amplitudes differ by ~3*dim*eps from the order of the sums alone.
+# - exp, per term: the sweep's exp, the series' two, and the fold of b into
+#   the coarse table.
+# - Rounding, relative: forming each product of three |A|^2 on either path and
+#   its margin, and the cube (c/3)^3 against the sweep's 3*cbrt.
+_EPS = np.finfo(np.float64).eps
+_SERIES_SUM_ERROR = 3 * _EPS
+_SERIES_EXP_ERROR = 8 * _EPS
+_SERIES_ROUNDING = 16 * _EPS
 
 # Closed forms for the three-particle mode-condensate probabilities as
 # cosine series in theta: P = (c0 + c1 cos t + c2 cos 2t + c3 cos 3t) / 81.
@@ -148,26 +158,70 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _series_coefficients(n: int) -> np.ndarray:
-    """Hold-phase series coefficients b, shape (len(uhalf), 3).
+    """Hold-phase series coefficients b, shape (3, len(uhalf)).
 
-    b[m, k] sums ground * conj(extremal column k) over the kets whose half
+    b[k, m] sums ground * conj(extremal column k) over the kets whose half
     pair count is ``uhalf[m]``, so the extremal amplitudes at hold phase
-    theta are exp(-1j * theta * uhalf) @ b: one term per distinct pair count.
+    theta are b @ exp(-1j * theta * uhalf): one term per distinct pair count.
     """
     ground, uhalf, where, wconj = _sweep_inputs(n)
     b = np.zeros((uhalf.size, 3), dtype=np.complex128)
     np.add.at(b, where, ground[:, None] * wconj)
-    return b
+    return np.ascontiguousarray(b.T)
 
 
-def _series_products(n: int, thetas: np.ndarray) -> np.ndarray:
-    """P_alpha * P_beta * P_gamma at each hold phase, summed over the series.
+def _series_products(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_alpha * P_beta * P_gamma at each hold phase, and how far the sweep's may lie.
 
-    The exp table is the one the sweep builds for the same thetas; only the
-    order of the sums differs, which ``_SERIES_MARGIN`` bounds.
+    Returns ``(prod, margin)``: the product summed over the series, and a
+    bound on its distance from the sweep's product at the same float theta.
+
+    ``thetas`` are meant to be a uniform grid, as the timing scan's chunks
+    are.  Row j = a*B + r (B = ``_SERIES_FINE``) is evaluated at theta_c + f,
+    with theta_c = thetas[a*B] its coarse row and f = fl(r*h) a fine offset
+    on the step h between the first and last theta.  So
+    exp(-1j*(theta_c + f)*u) = exp(-1j*theta_c*u) * exp(-1j*f*u): b folds into
+    the coarse table, and the three amplitudes of every row come from one
+    (3 x coarse rows, distinct u) @ (distinct u, B) product, without a
+    per-row exp table.
+
+    The margin.  The sweep's term u carries the phase fl(theta_j*u), the
+    series' fl(theta_c*u) + fl(f*u).  With d = |theta_c + f - theta_j|,
+    measured here on the chunk's own float thetas, the two phases differ by
+    at most (d + 3*eps*M) * u, where M = max|theta| + max|f|: 1.5*eps*M for
+    the three products and eps*M for the sum and difference that measure d.
+    |exp(-ix) - exp(-iy)| <= |x - y| and u >= 0, so with the exps' few eps
+    each series term moves by at most (d + 3*eps*M) * max(u)
+    + ``_SERIES_EXP_ERROR`` relative to the sweep's.  The |b| of each series
+    row sum to at most 1, so that bounds the amplitude gap too, and with the
+    summation-order term eps_A = ``_SERIES_SUM_ERROR`` * dim + that phase
+    term bounds ||A_k| - |A_k'|| for each k.  Then the sweep's product lies between
+    prod(max(|A_k| - eps_A, 0)^2) and prod((|A_k| + eps_A)^2); the second is
+    the farther one, since prod(|A_k| + t) has no negative coefficient in t.
+    So margin = prod((|A_k| + eps_A)^2) * (1 + ``_SERIES_ROUNDING``)
+    - prod(|A_k|^2), which also covers the rounding of both products.  It
+    shrinks with the product, so a small target stays on the series.  A
+    non-uniform grid gets a large d and with it a wide, still valid, margin.
     """
-    uph = np.exp(np.multiply(-1j, np.outer(thetas, _sweep_inputs(n)[1])))
-    return np.prod(np.abs(uph @ _series_coefficients(n)) ** 2, axis=1)
+    uhalf = _sweep_inputs(n)[1]
+    rows = thetas.size
+    h = (thetas[-1] - thetas[0]) / (rows - 1) if rows > 1 else 0.0
+    fine = np.arange(min(rows, _SERIES_FINE)) * h
+    coarse = thetas[::_SERIES_FINE]
+    d = np.max(np.abs((coarse[:, None] + fine).ravel()[:rows] - thetas))
+    big = np.max(np.abs(thetas)) + np.max(np.abs(fine))
+    eps_a = (
+        _SERIES_SUM_ERROR * dimension(n)
+        + (d + 3.0 * _EPS * big) * uhalf[-1]
+        + _SERIES_EXP_ERROR
+    )
+    table = np.exp(np.multiply(-1j, np.outer(coarse, uhalf)))
+    folded = (_series_coefficients(n)[:, None, :] * table).reshape(-1, uhalf.size)
+    amps = np.abs(folded @ np.exp(np.multiply(-1j, np.outer(uhalf, fine))))
+    amps = amps.reshape(3, -1)[:, :rows]
+    prod = np.prod(amps**2, axis=0)
+    margin = np.prod((amps + eps_a) ** 2, axis=0) * (1.0 + _SERIES_ROUNDING) - prod
+    return prod, margin
 
 
 def _first_below(n: int, deltas: np.ndarray, c_target: float) -> int | None:
@@ -176,19 +230,18 @@ def _first_below(n: int, deltas: np.ndarray, c_target: float) -> int | None:
     Returns None when there is none.  ``deltas`` is scanned in the sweep's
     2048-row chunks, stopping at the first chunk with a crossing.  A chunk is
     decided by the series when every product up to and including its first
-    one below the cube (c_target/3)^3 lies more than the margin from that
-    cube: then the sweep compares the same way on each of those rows.
-    Otherwise the chunk runs through the exact sweep, as the same rows, so
-    the answer is the sweep's either way.
+    one below the cube (c_target/3)^3 lies more than its row's margin, plus a
+    few ulp of the cube, from that cube: then the sweep compares the same way
+    on each of those rows.  Otherwise the chunk runs through the exact sweep,
+    as the same rows, so the answer is the sweep's either way.
     """
     cube = (c_target / 3.0) ** 3
-    margin = _SERIES_MARGIN * dimension(n)
     for lo in range(0, deltas.size, _SWEEP_CHUNK):
         thetas = (1.0 + deltas[lo : lo + _SWEEP_CHUNK]) * CAT_HOLD_PHASE
-        prod = _series_products(n, thetas)
+        prod, margin = _series_products(n, thetas)
         below = np.flatnonzero(prod < cube)
         upto = below[0] + 1 if below.size else prod.size
-        if np.any(np.abs(prod[:upto] - cube) <= margin):
+        if np.any(np.abs(prod[:upto] - cube) <= margin[:upto] + _SERIES_ROUNDING * cube):
             below = np.flatnonzero(cattiness_curve(n, thetas) < c_target)
         if below.size:
             return lo + int(below[0])
@@ -256,14 +309,17 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
     The scan only needs the sign of c - c_target at each grid point.  The
     extremal amplitudes are trigonometric series in theta, one term per
     distinct pair count (437 at n = 90, against dimension 4186), so each
-    2048-point chunk is first compared through that series.  Where a
-    product of the three probabilities lies within 64 * dim * eps of the
-    cube (c_target/3)^3, the series cannot prove the comparison and the
-    chunk runs through the exact sweep instead.  The two differ only in
-    summation order over unit-norm vectors, which bounds their gap by
-    ~18 * dim * eps.  So the crossing found, and every output bit, is the
-    exact sweep's.  The delta = 0 check and the bisection use the exact
-    sweep directly.
+    2048-point chunk is first compared through that series, evaluated on a
+    phase table factored into 32 coarse rows and 64 fine offsets of the
+    uniform grid.  Each row carries a proven margin: how far the sweep's
+    product can lie from the series', from the order of the sums, the gap
+    between the factored phases and the row's own float theta, and
+    rounding.  It shrinks with the product.  Where a product lies within
+    its margin, plus a few ulp, of the cube (c_target/3)^3, the series
+    cannot prove the comparison and the chunk runs through the exact sweep
+    instead.  So the crossing found, and every output bit, is the exact
+    sweep's.  The delta = 0 check and the bisection use the exact sweep
+    directly.
     """
     if n < 1 or n % 3 != 0:
         raise ValueError(f"particle number must be a positive multiple of 3, got {n}")

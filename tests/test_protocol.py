@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ringcat.protocol as protocol
 from ringcat.basis import dimension, enumerate_basis
@@ -398,7 +400,13 @@ def test_timing_scan_keeps_the_plain_block_scans_results():
 
 def test_timing_scan_with_every_chunk_on_the_exact_sweep(monkeypatch):
     # an infinite margin lets the series decide nothing: each chunk falls back
-    monkeypatch.setattr(protocol, "_SERIES_MARGIN", math.inf)
+    series = protocol._series_products
+
+    def undecided(n, thetas):
+        prod, margin = series(n, thetas)
+        return prod, np.full_like(margin, math.inf)
+
+    monkeypatch.setattr(protocol, "_series_products", undecided)
     for n, c_target in ((6, 0.9), (24, 0.9), (30, 0.5), (60, 0.99), (3, 0.01)):
         got = tolerance_or_message(timing_tolerance, n, c_target)
         assert got == tolerance_or_message(plain_block_scan, n, c_target), (n, c_target)
@@ -409,11 +417,11 @@ def test_timing_scan_keeps_the_sweeps_answer_for_any_series_inside_the_margin(mo
     # off by up to 0.99 of a margin widened to about one grid step's change in
     # the product must still give the exact scan's answer
     rng = np.random.default_rng(11)
-    monkeypatch.setattr(protocol, "_SERIES_MARGIN", 1e-7)
 
     def noisy(n, thetas):
         swept = np.prod(sweep_protocol_probabilities(n, thetas), axis=1)
-        return swept + 0.99e-7 * dimension(n) * rng.uniform(-1.0, 1.0, swept.size)
+        margin = np.full_like(swept, 1e-7 * dimension(n))
+        return swept + 0.99 * margin * rng.uniform(-1.0, 1.0, swept.size), margin
 
     monkeypatch.setattr(protocol, "_series_products", noisy)
     for n in (3, 6):
@@ -435,10 +443,94 @@ def test_timing_scan_runs_the_exact_sweep_one_point_at_a_time(monkeypatch):
     assert sizes and max(sizes) == 1, f"exact sweeps of {sorted(set(sizes))} points"
 
 
+def scan_chunk(n, start, size):
+    """Hold phases of a timing-scan chunk: ``size`` steps of 1e-4/n past ``start``, clipped at delta = 1.5."""
+    deltas = start + 1e-4 / n * np.arange(1, size + 1)
+    return (1.0 + deltas[deltas <= 1.5]) * CAT_HOLD_PHASE
+
+
+def series_and_sweep(n, thetas):
+    """The series' products and margins over a chunk, and the sweep's products, on sampled rows.
+
+    The series runs on the whole chunk, as the scan runs it.  The sweep runs
+    on every 17th row (17 is coprime to the 64 fine offsets, so every offset
+    is sampled) and the last 65, one row at a time to keep its buffer small
+    at n = 252.  The margin bounds the gap for any summation order, so the
+    sweep's row blocking does not matter.
+    """
+    prod, margin = protocol._series_products(n, thetas)
+    rows = np.union1d(np.arange(0, thetas.size, 17), np.arange(max(thetas.size - 65, 0), thetas.size))
+    swept = np.array([np.prod(sweep_protocol_probabilities(n, thetas[j : j + 1])) for j in rows])
+    return prod[rows], margin[rows], swept
+
+
+# The per-row margin is a worst-case bound, not an estimate; on the scan's
+# chunks the measured gap stays below margin/34 (smallest at n = 3, where dim
+# is 10 and the summation bound 3*dim*eps is nearly tight), and below about
+# margin/40 on random chunks up to n = 90, where rows with a small amplitude
+# see the chunk's coherent theta rounding.
+SERIES_RESERVE = 10
+
+
+@pytest.mark.parametrize("n", [3, 30, 90, 150, 252])
+def test_series_margin_covers_every_uniform_chunk(n):
+    for size in (1, 2, 63, 64, 65, 2047, 2048):
+        for start in (0.0, 1.5 - 1e-4 / n * (size + 0.5)):
+            thetas = scan_chunk(n, start, size)
+            assert thetas.size == size
+            prod, margin, swept = series_and_sweep(n, thetas)
+            assert np.all(np.abs(prod - swept) <= margin / SERIES_RESERVE), (size, start)
+    # the last chunk of a scan is clipped at delta = 1.5
+    clipped = scan_chunk(n, 1.5 - 1e-4 / n * 1000.5, 2048)
+    prod, margin, swept = series_and_sweep(n, clipped)
+    assert clipped.size == 1000 and np.all(np.abs(prod - swept) <= margin / SERIES_RESERVE)
+
+
 @pytest.mark.parametrize("n", [3, 30, 90, 150])
 def test_series_products_stay_far_inside_the_margin(n):
+    # uniform grids, as the scan feeds the series, across the whole scanned range
+    for start in np.linspace(0.0, 1.4, 8):
+        prod, margin, swept = series_and_sweep(n, scan_chunk(n, start, 2048))
+        assert np.all(np.abs(prod - swept) <= margin / SERIES_RESERVE), start
+
+
+@pytest.mark.parametrize("n", [3, 30, 90])
+def test_series_margin_covers_non_uniform_thetas(n):
+    # off a uniform grid the measured theta gap is large, and so is the margin
     thetas = np.random.default_rng(7).uniform(-2.0 * math.pi, 4.0 * math.pi, 256)
-    series = protocol._series_products(n, thetas)
+    prod, margin = protocol._series_products(n, thetas)
     swept = np.prod(sweep_protocol_probabilities(n, thetas), axis=1)
-    margin = protocol._SERIES_MARGIN * dimension(n)
-    assert np.max(np.abs(series - swept)) <= margin / 1000
+    assert np.all(np.abs(prod - swept) <= margin)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 30).map(lambda k: 3 * k),
+    start=st.floats(0.0, 1.5),
+    size=st.integers(1, 2048),
+)
+def test_sweep_product_lies_within_the_series_margin(n, start, size):
+    thetas = scan_chunk(n, start, size)
+    assume(thetas.size > 0)
+    prod, margin, swept = series_and_sweep(n, thetas)
+    assert np.all(np.abs(prod - swept) <= margin)
+
+
+def test_small_target_scan_stays_on_the_series(monkeypatch):
+    # the margin shrinks with the product, so a target of 0.01 (cube 3.7e-8)
+    # never sends a chunk to the exact sweep; an absolute 64*dim*eps margin
+    # sent one for 21 of these 30 particle numbers
+    fallbacks = []
+    curve = protocol.cattiness_curve
+
+    def counted(n, thetas):
+        if np.size(thetas) > 1:
+            fallbacks.append(n)
+        return curve(n, thetas)
+
+    monkeypatch.setattr(protocol, "cattiness_curve", counted)
+    results = {n: tolerance_or_message(timing_tolerance, n, 0.01) for n in range(3, 91, 3)}
+    assert fallbacks == []
+    # the plain scan sweeps ~1e5 points per n; n = 15 and 27 fell back before
+    for n in (3, 15, 27):
+        assert results[n] == tolerance_or_message(plain_block_scan, n, 0.01), n
