@@ -64,8 +64,9 @@ _SERIES_FINE = 64
 #   amplitudes differ by ~3*dim*eps from the order of the sums alone.
 # - exp, per term: the sweep's exp, the series' two, and the fold of b into
 #   the coarse table.
-# - Rounding, relative: forming each product of three |A|^2 on either path and
-#   its margin, and the cube (c/3)^3 against the sweep's 3*cbrt.
+# - Rounding, relative, all of it allowed for in ``_first_below``: forming each
+#   product of three |A|^2 on either path and its margin, and the cube
+#   (c/3)^3 against the sweep's 3*cbrt.
 _EPS = np.finfo(np.float64).eps
 _SERIES_SUM_ERROR = 3 * _EPS
 _SERIES_EXP_ERROR = 8 * _EPS
@@ -198,10 +199,10 @@ def _series_products(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     term bounds ||A_k| - |A_k'|| for each k.  Then the sweep's product lies between
     prod(max(|A_k| - eps_A, 0)^2) and prod((|A_k| + eps_A)^2); the second is
     the farther one, since prod(|A_k| + t) has no negative coefficient in t.
-    So margin = prod((|A_k| + eps_A)^2) * (1 + ``_SERIES_ROUNDING``)
-    - prod(|A_k|^2), which also covers the rounding of both products.  It
-    shrinks with the product, so a small target stays on the series.  A
-    non-uniform grid gets a large d and with it a wide, still valid, margin.
+    So margin = prod((|A_k| + eps_A)^2) - prod(|A_k|^2), in exact arithmetic;
+    ``_first_below`` allows for the rounding.  It shrinks with the product,
+    so a small target stays on the series.  A non-uniform grid gets a large
+    d and with it a wide, still valid, margin.
     """
     uhalf = _sweep_inputs(n)[1]
     rows = thetas.size
@@ -220,7 +221,7 @@ def _series_products(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     amps = np.abs(folded @ np.exp(np.multiply(-1j, np.outer(uhalf, fine))))
     amps = amps.reshape(3, -1)[:, :rows]
     prod = np.prod(amps**2, axis=0)
-    margin = np.prod((amps + eps_a) ** 2, axis=0) * (1.0 + _SERIES_ROUNDING) - prod
+    margin = np.prod((amps + eps_a) ** 2, axis=0) - prod
     return prod, margin
 
 
@@ -230,18 +231,20 @@ def _first_below(n: int, deltas: np.ndarray, c_target: float) -> int | None:
     Returns None when there is none.  ``deltas`` is scanned in the sweep's
     2048-row chunks, stopping at the first chunk with a crossing.  A chunk is
     decided by the series when every product up to and including its first
-    one below the cube (c_target/3)^3 lies more than its row's margin, plus a
-    few ulp of the cube, from that cube: then the sweep compares the same way
-    on each of those rows.  Otherwise the chunk runs through the exact sweep,
-    as the same rows, so the answer is the sweep's either way.
+    one below the cube (c_target/3)^3 lies more than its row's margin, plus
+    ``_SERIES_ROUNDING`` of the product's bound and of the cube, from that
+    cube: then the sweep compares the same way on each of those rows.
+    Otherwise the chunk runs through the exact sweep, as the same rows, so
+    the answer is the sweep's either way.
     """
     cube = (c_target / 3.0) ** 3
     for lo in range(0, deltas.size, _SWEEP_CHUNK):
         thetas = (1.0 + deltas[lo : lo + _SWEEP_CHUNK]) * CAT_HOLD_PHASE
         prod, margin = _series_products(n, thetas)
+        slack = margin + _SERIES_ROUNDING * (prod + margin + cube)
         below = np.flatnonzero(prod < cube)
         upto = below[0] + 1 if below.size else prod.size
-        if np.any(np.abs(prod[:upto] - cube) <= margin[:upto] + _SERIES_ROUNDING * cube):
+        if np.any(np.abs(prod[:upto] - cube) <= slack[:upto]):
             below = np.flatnonzero(cattiness_curve(n, thetas) < c_target)
         if below.size:
             return lo + int(below[0])

@@ -6,8 +6,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import ringcat.protocol as protocol
 from ringcat.basis import dimension, enumerate_basis
@@ -472,26 +470,35 @@ def series_and_sweep(n, thetas):
 SERIES_RESERVE = 10
 
 
+def assert_series_close(n, prod, margin, swept, where):
+    """The gap lies well inside the row's margin, and within 1/1000 of 64*dim*eps.
+
+    64*dim*eps is the absolute margin the series had when it shared the
+    sweep's exp values; the factored phases must keep its accuracy.
+    """
+    gap = np.abs(prod - swept)
+    assert np.all(gap <= margin / SERIES_RESERVE), where
+    assert np.max(gap) <= 64 * dimension(n) * np.finfo(np.float64).eps / 1000, where
+
+
 @pytest.mark.parametrize("n", [3, 30, 90, 150, 252])
 def test_series_margin_covers_every_uniform_chunk(n):
     for size in (1, 2, 63, 64, 65, 2047, 2048):
         for start in (0.0, 1.5 - 1e-4 / n * (size + 0.5)):
             thetas = scan_chunk(n, start, size)
             assert thetas.size == size
-            prod, margin, swept = series_and_sweep(n, thetas)
-            assert np.all(np.abs(prod - swept) <= margin / SERIES_RESERVE), (size, start)
+            assert_series_close(n, *series_and_sweep(n, thetas), (size, start))
     # the last chunk of a scan is clipped at delta = 1.5
     clipped = scan_chunk(n, 1.5 - 1e-4 / n * 1000.5, 2048)
-    prod, margin, swept = series_and_sweep(n, clipped)
-    assert clipped.size == 1000 and np.all(np.abs(prod - swept) <= margin / SERIES_RESERVE)
+    assert clipped.size == 1000
+    assert_series_close(n, *series_and_sweep(n, clipped), "clipped")
 
 
 @pytest.mark.parametrize("n", [3, 30, 90, 150])
 def test_series_products_stay_far_inside_the_margin(n):
     # uniform grids, as the scan feeds the series, across the whole scanned range
     for start in np.linspace(0.0, 1.4, 8):
-        prod, margin, swept = series_and_sweep(n, scan_chunk(n, start, 2048))
-        assert np.all(np.abs(prod - swept) <= margin / SERIES_RESERVE), start
+        assert_series_close(n, *series_and_sweep(n, scan_chunk(n, start, 2048)), start)
 
 
 @pytest.mark.parametrize("n", [3, 30, 90])
@@ -500,19 +507,6 @@ def test_series_margin_covers_non_uniform_thetas(n):
     thetas = np.random.default_rng(7).uniform(-2.0 * math.pi, 4.0 * math.pi, 256)
     prod, margin = protocol._series_products(n, thetas)
     swept = np.prod(sweep_protocol_probabilities(n, thetas), axis=1)
-    assert np.all(np.abs(prod - swept) <= margin)
-
-
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(
-    n=st.integers(1, 30).map(lambda k: 3 * k),
-    start=st.floats(0.0, 1.5),
-    size=st.integers(1, 2048),
-)
-def test_sweep_product_lies_within_the_series_margin(n, start, size):
-    thetas = scan_chunk(n, start, size)
-    assume(thetas.size > 0)
-    prod, margin, swept = series_and_sweep(n, thetas)
     assert np.all(np.abs(prod - swept) <= margin)
 
 
