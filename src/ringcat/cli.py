@@ -44,7 +44,6 @@ from .protocol import (
     CAT_HOLD_PHASE,
     BracketError,
     _calibrate_on_grid,
-    cattiness_curve,
     cattiness_sweep,
     run_protocol,
     timing_tolerance,
@@ -105,14 +104,14 @@ def _fmt(value) -> str:
     return str(value) if isinstance(value, int) else format(value, ".17g")
 
 
-def _check_unit_sum(values, label: str, tol: float = SUM_TOL) -> None:
-    """Refuse values that do not sum to 1; a 2-D array is checked row by row."""
+def _check_unit_sum(values, label: str) -> None:
+    """Refuse values that do not sum to 1 within ``SUM_TOL``; a 2-D array is checked row by row."""
     totals = np.atleast_1d(np.sum(values, axis=-1))
-    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= tol))
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_TOL))
     if bad.size:
         i = int(bad[0])
         where = f" at row {i}" if np.ndim(values) > 1 else ""
-        raise NumericalHealthError(f"{label}{where} sums to {float(totals[i])!r}, expected 1 within {tol}")
+        raise NumericalHealthError(f"{label}{where} sums to {float(totals[i])!r}, expected 1 within {SUM_TOL}")
 
 
 def _check_phase(setting: str, phase: float) -> None:
@@ -256,14 +255,14 @@ def cmd_calibrate_u(args) -> None:
     _check_phase("--theta-min-pi or --theta-max-pi", 0.5 * widest * (args.n * (args.n - 1)))
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
     try:
-        star, values = _calibrate_on_grid(args.n, thetas)
+        star, c_star, values = _calibrate_on_grid(args.n, thetas)
     except BracketError as exc:
         raise PhysicsError(str(exc)) from exc
     summary = {
         "n": args.n,
         "theta_star": star,
         "theta_star_pi": star / math.pi,
-        "c_star": float(cattiness_curve(args.n, np.array([star]))[0]),
+        "c_star": c_star,
     }
     _emit(args, {"theta": thetas, "cattiness": values}, summary)
 

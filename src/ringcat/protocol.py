@@ -320,20 +320,16 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
     rounding.  It shrinks with the product.  Where a product lies within
     its margin, plus a few ulp, of the cube (c_target/3)^3, the series
     cannot prove the comparison and the chunk runs through the exact sweep
-    instead.  So the crossing found, and every output bit, is the exact
-    sweep's.  The delta = 0 check and the bisection use the exact sweep
-    directly.
+    instead.  The delta = 0 check and each bisection step are one-row chunks
+    on the same path.  So every decision, and every output bit, is the exact
+    sweep's.
     """
     if n < 1 or n % 3 != 0:
         raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
     if not 0.0 < c_target < 1.0:
         raise ValueError(f"cattiness target must lie in (0, 1), got {c_target}")
     step = _TIMING_STEP / n
-
-    def c_at(delta):
-        return cattiness_curve(n, np.array([(1.0 + delta) * CAT_HOLD_PHASE]))[0]
-
-    if c_at(0.0) < c_target:
+    if _first_below(n, np.zeros(1), c_target) is not None:
         raise ValueError(f"target {c_target} unreachable: cattiness below it at delta = 0")
 
     # block scan until the curve first dips below the target
@@ -350,7 +346,7 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
     lo, hi = (deltas[k - 1] if k else start), float(deltas[k])
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if c_at(mid) >= c_target:
+        if _first_below(n, np.array([mid]), c_target) is None:
             lo = mid
         else:
             hi = mid
@@ -371,8 +367,8 @@ def calibrate_u(n: int, theta_samples) -> float:
     return _calibrate_on_grid(n, theta_samples)[0]
 
 
-def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, np.ndarray]:
-    """``calibrate_u`` plus the cattiness it swept at the sorted samples."""
+def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, float, np.ndarray]:
+    """``calibrate_u``, the cattiness found there, and the cattiness swept at the sorted samples."""
     thetas = np.sort(np.asarray(theta_samples, dtype=np.float64))
     if thetas.size < 3:
         raise BracketError("need at least three samples to bracket a peak")
@@ -384,7 +380,8 @@ def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, np.ndarray]:
     def c_at(theta):
         return cattiness_curve(n, np.array([theta]))[0]
 
-    return float(_golden_maximum(c_at, *thetas[best - 1 : best + 2])), values
+    star, c_star = _golden_maximum(c_at, *thetas[best - 1 : best + 2])
+    return float(star), float(c_star), values
 
 
 # Golden-ratio conjugate 2/(1 + sqrt 5), rounded to eight digits as in the
@@ -395,11 +392,12 @@ _GOLDEN = 0.61803399
 def _golden_maximum(f, xa, xb, xc):
     """Golden-section search for the maximum of ``f`` bracketed by xa < xb < xc.
 
-    A port of the standard bracketed golden section, run on -f with a
-    relative tolerance of 1e-12: the same constant, update order, stopping
-    test, 5000-step bound and final pick, so it returns the same bits as
-    the library routine (the protocol tests check this exactly).  The
-    bracket must be strict: f(xb) above both f(xa) and f(xc).
+    Returns the point it picks and f there.  A port of the standard bracketed
+    golden section, run on -f with a relative tolerance of 1e-12: the same
+    constant, update order, stopping test, 5000-step bound and final pick, so
+    it picks the same bits as the library routine (the protocol tests check
+    this exactly), with one f call per point.  The bracket must be strict:
+    f(xb) above both f(xa) and f(xc).
     """
     if not xa < xb < xc:
         raise BracketError(f"scan samples {xa}, {xb}, {xc} around the maximum are not distinct")
@@ -410,9 +408,10 @@ def _golden_maximum(f, xa, xb, xc):
     x0, x3 = xa, xc
     if abs(xc - xb) > abs(xb - xa):
         x1, x2 = xb, xb + gc * (xc - xb)
+        f1, f2 = fb, f(x2)
     else:
         x1, x2 = xb - gc * (xb - xa), xb
-    f1, f2 = f(x1), f(x2)
+        f1, f2 = f(x1), fb
     for _ in range(5000):
         if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
             break
@@ -424,4 +423,4 @@ def _golden_maximum(f, xa, xb, xc):
             x3, x2 = x2, x1
             x1 = _GOLDEN * x2 + gc * x0
             f2, f1 = f1, f(x1)
-    return x1 if f1 > f2 else x2
+    return (x1, f1) if f1 > f2 else (x2, f2)

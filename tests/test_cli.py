@@ -150,16 +150,21 @@ def test_calibrate_summary(tmp_path):
 
 def test_calibrate_sweeps_the_grid_once(tmp_path, monkeypatch):
     sizes = []
+    points = []
     sweep = protocol.sweep_protocol_probabilities
 
     def counted(n, thetas):
         sizes.append(np.size(thetas))
+        if np.size(thetas) == 1:
+            points.append(float(np.asarray(thetas)[0]))
         return sweep(n, thetas)
 
     monkeypatch.setattr(protocol, "sweep_protocol_probabilities", counted)
     out = tmp_path / "cal.csv"
     assert run_cli("calibrate-u", "--n", "6", "--grid", "121", "--out", str(out)) == 0
     assert sizes.count(121) == 1
+    # c_star is the golden section's own value: no hold phase is swept twice
+    assert points and len(set(points)) == len(points), points
 
 
 def test_fringes_closed_equals_simulation(tmp_path):

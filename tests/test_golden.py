@@ -6,16 +6,17 @@ Each command in ``tests/golden.json`` runs in-process through
 match the record at 1e-12, except ``theta_star``, which the calibration
 resolves only to a few 1e-9; a recorded NaN (a fringe period the grid
 cannot measure) must come back as NaN.  On the machine the record was
-taken on (same numpy, BLAS build, SIMD extensions and architecture) the
-sha256 of stdout must match as well; elsewhere BLAS may pick other
-kernels and round the last bits differently, so only the numbers are
-compared.
+taken on (same numpy, BLAS build, active OpenBLAS core, SIMD extensions
+and architecture) the sha256 of stdout must match as well; elsewhere BLAS
+may pick other kernels and round the last bits differently, so only the
+numbers are compared.
 
 Regenerate the record with ``PYTHONPATH=src python tests/test_golden.py``,
 and only in a change that names the output bytes it moves and why.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -62,12 +63,30 @@ TOL = 1e-12
 LOOSE_TOL = {"theta_star": 1e-8, "theta_star_pi": 1e-8}
 
 
+def openblas_core() -> str:
+    """The core a DYNAMIC_ARCH OpenBLAS picked at load time, or "" if it cannot be read.
+
+    The build facts do not name it: the same build runs SkylakeX kernels on
+    one AVX-512 machine and Haswell kernels under OPENBLAS_CORETYPE=Haswell,
+    and the two round some outputs' last bits differently.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return ""
+
+
 def machine_facts() -> dict:
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": " ".join(str(blas.get(key, "")) for key in ("name", "version", "openblas configuration")),
+        "openblas_core": openblas_core(),
         "simd": " ".join(config["SIMD Extensions"]["found"]),
         "machine": platform.machine(),
     }

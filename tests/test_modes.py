@@ -106,6 +106,12 @@ def test_lift_unitarity_through_forty_particles():
         assert defect < 1e-12, f"n={n}: defect={defect}"
 
 
+def test_lift_gram_matrix_is_identity():
+    lift = lift_to_fock(dft_mode_matrix(), 6).matrix
+    gram = lift.conj().T @ lift
+    assert np.max(np.abs(gram - np.eye(lift.shape[0]))) < 1e-12
+
+
 def test_lift_of_identity_is_identity():
     for n in range(13):
         m = lift_to_fock(np.eye(3), n).matrix

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,48 @@ def test_run_protocol_matches_brute_force_generic_phase():
         r = run_protocol(n, theta)
         expected = brute_force_probabilities(n, theta)
         assert np.allclose((r.p_alpha, r.p_beta, r.p_gamma), expected, atol=1e-12)
+
+
+EPS = np.finfo(np.float64).eps
+# seeded hold phases off the special points 0 and 2*pi/3, over three periods
+SEEDED_THETAS = np.random.default_rng(5).uniform(-2.0 * math.pi, 4.0 * math.pi, 32)
+
+
+def beta_gamma_probabilities(n):
+    """(P_beta, P_gamma) at every seeded theta: the sweep's rows, then a few single runs."""
+    runs = [run_protocol(n, float(theta)) for theta in SEEDED_THETAS[:4]]
+    swept = sweep_protocol_probabilities(n, SEEDED_THETAS)[:, 1:]
+    return np.vstack([swept, [(r.p_beta, r.p_gamma) for r in runs]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 31, 32, 91])
+def test_z3_selection_rule_empties_beta_and_gamma_at_every_theta(n):
+    # The cyclic site shift commutes with the hold and fixes the ground state,
+    # and the n-fold mode-k ket has Z3 charge k*n mod 3, so for 3 not dividing
+    # n the beta and gamma amplitudes vanish exactly at every theta and the
+    # floats hold only rounding.  Each amplitude is a dim-term sum whose terms
+    # g_i * exp(-i*theta*u_i/2) * conj(c_i) have |g_i| = |c_i|, so their sizes
+    # sum to |g|^2 = 1.  Summing dim terms errs by at most (dim - 1)*eps of
+    # that total (Higham, Accuracy and Stability, section 3.1); the terms' own
+    # few eps (the exp, the products, the columns' powers) fit in the one eps
+    # left because a sum's roundings add as a random walk, about sqrt(dim)*eps,
+    # not dim*eps.  So |A| <= dim*eps and P <= (dim*eps)^2.
+    assert np.max(beta_gamma_probabilities(n)) <= (dimension(n) * EPS) ** 2
+
+
+@pytest.mark.parametrize("n", [3, 6, 30, 90])
+def test_beta_and_gamma_mirror_each_other_at_every_theta(n):
+    # The mirror q <-> r fixes the ground state and every pair count and maps
+    # the beta column onto the gamma one, so P_beta = P_gamma exactly and in
+    # floats the gamma amplitude sums the beta amplitude's terms in mirrored
+    # order, each rounded alike up to the columns' closed-form powers.  The
+    # term sizes sum to 1 (as above), so each amplitude carries about 1 eps
+    # from its terms and about 1 eps from its sum, whose roundings add as a
+    # random walk: |A_beta - A_gamma| <= 4*eps.  With |A| <= 1,
+    # |P_beta - P_gamma| = (|A_beta| + |A_gamma|) * ||A_beta| - |A_gamma||
+    # <= 2 * 4*eps = 8*eps.
+    p_beta, p_gamma = beta_gamma_probabilities(n).T
+    assert np.max(np.abs(p_beta - p_gamma)) <= 8 * EPS
 
 
 def test_protocol_preserves_norm():
@@ -268,8 +311,10 @@ def test_calibration_matches_scipy_golden_section_bit_for_bit():
 
 
 def test_import_pulls_in_neither_scipy_nor_numba():
+    # the child imports the ringcat under test, from a checkout or installed
+    home = str(Path(protocol.__file__).resolve().parents[1])
     code = (
-        "import ringcat, sys; "
+        f"import sys; sys.path.insert(0, {home!r}); import ringcat; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -428,7 +473,9 @@ def test_timing_scan_keeps_the_sweeps_answer_for_any_series_inside_the_margin(mo
             assert got == tolerance_or_message(plain_block_scan, n, c_target), (n, c_target)
 
 
-def test_timing_scan_runs_the_exact_sweep_one_point_at_a_time(monkeypatch):
+def test_timing_scan_runs_no_exact_sweep_where_the_series_decides(monkeypatch):
+    # the delta = 0 check and the bisection go through the series as one-row
+    # chunks too, so the exact sweep is only the fallback
     sizes = []
     sweep = protocol.sweep_protocol_probabilities
 
@@ -438,7 +485,8 @@ def test_timing_scan_runs_the_exact_sweep_one_point_at_a_time(monkeypatch):
 
     monkeypatch.setattr(protocol, "sweep_protocol_probabilities", counted)
     timing_tolerance(30, c_target=0.9)
-    assert sizes and max(sizes) == 1, f"exact sweeps of {sorted(set(sizes))} points"
+    timing_tolerance(252, c_target=0.95)
+    assert sizes == [], f"exact sweeps of {sizes} points"
 
 
 def scan_chunk(n, start, size):
