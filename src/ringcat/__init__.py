@@ -46,6 +46,7 @@ from .modes import (
 from .protocol import (
     CAT_HOLD_PHASE,
     BracketError,
+    PhysicsError,
     ProtocolResult,
     analytic_P3,
     calibrate_u,

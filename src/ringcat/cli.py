@@ -42,8 +42,9 @@ from .modes import momentum_distribution
 from .protocol import (
     _SWEEP_CHUNK,
     CAT_HOLD_PHASE,
-    BracketError,
+    PhysicsError,
     _calibrate_on_grid,
+    _require_cat_number,
     cattiness_sweep,
     run_protocol,
     timing_tolerance,
@@ -62,10 +63,6 @@ _CELL_BYTES = 200
 # Bytes kept per ket for each n a cattiness sweep visits: the cached basis,
 # amplitudes, pair counts and extremal columns (24 + 8 + 8 + 48).
 _CACHED_KET_BYTES = 88
-
-
-class PhysicsError(ValueError):
-    """A physically required precondition does not hold for this config."""
 
 
 def _finite_float(text: str) -> float:
@@ -124,10 +121,11 @@ def _check_size(setting: str, nbytes: int) -> None:
     """Refuse a setting whose largest structure would exceed ``SIZE_BUDGET``.
 
     ``nbytes`` is a closed-form estimate, so the check runs before any array
-    work.  An estimate too large for a float reads as inf.
+    work.  It prints rounded up to 0.001 GiB, so an excess shows, and an
+    estimate too large for a float reads as inf.
     """
     if nbytes > SIZE_BUDGET:
-        need = nbytes / 2**30 if nbytes.bit_length() < 1000 else math.inf
+        need = -(-1000 * nbytes // 2**30) / 1000 if nbytes.bit_length() < 1000 else math.inf
         budget = SIZE_BUDGET >> 30
         raise ValueError(f"needs about {need:.4g} GiB, above the {budget} GiB memory budget; reduce {setting}")
 
@@ -226,9 +224,8 @@ def cmd_timing(args) -> None:
     ns = _parse_n_list(args.n)
     if not ns:
         raise ValueError("--n list is empty")
-    bad = [n for n in ns if n < 3 or n % 3 != 0]
-    if bad:
-        raise PhysicsError(f"timing tolerance needs positive multiples of 3, got {bad}")
+    for n in ns:
+        _require_cat_number(n)
     _check_size("--n", _sweep_bytes(max(ns), _SWEEP_CHUNK))
     d0 = np.array([timing_tolerance(n, args.c_target) for n in ns])
     inv = 1.0 / d0
@@ -243,8 +240,7 @@ def cmd_timing(args) -> None:
 
 
 def cmd_calibrate_u(args) -> None:
-    if args.n < 3 or args.n % 3 != 0:
-        raise PhysicsError(f"calibration needs a positive multiple of 3, got {args.n}")
+    _require_cat_number(args.n)
     if args.grid < 3:
         raise ValueError(f"--grid must be >= 3, got {args.grid}")
     if not args.theta_min < args.theta_max:
@@ -254,10 +250,7 @@ def cmd_calibrate_u(args) -> None:
     widest = max(abs(args.theta_min), abs(args.theta_max))
     _check_phase("--theta-min-pi or --theta-max-pi", 0.5 * widest * (args.n * (args.n - 1)))
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
-    try:
-        star, c_star, values = _calibrate_on_grid(args.n, thetas)
-    except BracketError as exc:
-        raise PhysicsError(str(exc)) from exc
+    star, c_star, values = _calibrate_on_grid(args.n, thetas)
     summary = {
         "n": args.n,
         "theta_star": star,
@@ -268,8 +261,7 @@ def cmd_calibrate_u(args) -> None:
 
 
 def cmd_fringes(args) -> None:
-    if args.n < 3 or args.n % 3 != 0:
-        raise PhysicsError(f"fringes need a positive multiple of 3, got {args.n}")
+    _require_cat_number(args.n)
     if args.grid < 2 or args.xi <= 0 or args.dt <= 0:
         raise ValueError("need --grid >= 2, --xi > 0 and --dt > 0")
     _check_size("--n", _lift_bytes(args.n))

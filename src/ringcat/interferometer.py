@@ -26,7 +26,7 @@ import numpy as np
 from .evolution import _interaction_phases, evolve_interaction_phase
 from .hamiltonian import _mode_energies
 from .modes import dft_lift, extremal_columns
-from .protocol import CAT_HOLD_PHASE, run_protocol
+from .protocol import CAT_HOLD_PHASE, _require_cat_number, run_protocol
 from .state import Representation, StateVector, _check_norms
 
 __all__ = [
@@ -182,8 +182,7 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     maxima over the scan (NaN when the grid covers fewer than two peaks);
     for these fringes it equals 2*pi/n in units of xi*dt.
     """
-    if n < 1 or n % 3 != 0:
-        raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
+    _require_cat_number(n)
     xi_values = np.asarray(xi_values, dtype=np.float64)
     if not (math.isfinite(j) and np.isfinite(xi_values).all()):
         raise ValueError(f"J and every xi must be finite, got J={j!r}")

@@ -29,6 +29,7 @@ from .state import StateVector, superfluid_ground_state
 __all__ = [
     "CAT_HOLD_PHASE",
     "ProtocolResult",
+    "PhysicsError",
     "BracketError",
     "run_protocol",
     "sweep_protocol_probabilities",
@@ -80,8 +81,18 @@ _P3_ALPHA = (41.0, 24.0, 12.0, 4.0)
 _P3_BETA = (14.0, -12.0, -6.0, 4.0)
 
 
-class BracketError(ValueError):
+class PhysicsError(ValueError):
+    """A physically required precondition does not hold for this input."""
+
+
+class BracketError(PhysicsError):
     """A scan bracket does not contain an interior peak."""
+
+
+def _require_cat_number(n: int) -> None:
+    """Refuse n off the positive multiples of 3: there P_beta = P_gamma = 0 at every theta (Z3 rule)."""
+    if n < 1 or n % 3 != 0:
+        raise PhysicsError(f"particle number must be a positive multiple of 3, got {n}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,8 @@ def _sweep_inputs(n: int):
     ground = multinomial_amplitudes(n)
     uhalf, where = np.unique(0.5 * pair_counts(n).astype(np.float64), return_inverse=True)
     wconj = np.ascontiguousarray(extremal_columns(n).conj())
+    for a in (uhalf, where, wconj):
+        a.setflags(write=False)
     return ground, uhalf, where, wconj
 
 
@@ -166,9 +179,10 @@ def _series_coefficients(n: int) -> np.ndarray:
     theta are b @ exp(-1j * theta * uhalf): one term per distinct pair count.
     """
     ground, uhalf, where, wconj = _sweep_inputs(n)
-    b = np.zeros((uhalf.size, 3), dtype=np.complex128)
-    np.add.at(b, where, ground[:, None] * wconj)
-    return np.ascontiguousarray(b.T)
+    b = np.zeros((3, uhalf.size), dtype=np.complex128)
+    np.add.at(b.T, where, ground[:, None] * wconj)
+    b.setflags(write=False)
+    return b
 
 
 def _series_products(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,11 +272,7 @@ def analytic_P3(theta) -> tuple:
     protocol and is used as an independent oracle for the simulator.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    pa = np.zeros_like(theta)
-    pb = np.zeros_like(theta)
-    for k in range(4):
-        pa = pa + _P3_ALPHA[k] * np.cos(k * theta)
-        pb = pb + _P3_BETA[k] * np.cos(k * theta)
+    pa, pb = (sum(c * np.cos(k * theta) for k, c in enumerate(cs)) for cs in (_P3_ALPHA, _P3_BETA))
     if theta.ndim == 0:
         return float(pa) / 81.0, float(pb) / 81.0
     return pa / 81.0, pb / 81.0
@@ -324,8 +334,7 @@ def timing_tolerance(n: int, c_target: float = 0.9) -> float:
     on the same path.  So every decision, and every output bit, is the exact
     sweep's.
     """
-    if n < 1 or n % 3 != 0:
-        raise ValueError(f"particle number must be a positive multiple of 3, got {n}")
+    _require_cat_number(n)
     if not 0.0 < c_target < 1.0:
         raise ValueError(f"cattiness target must lie in (0, 1), got {c_target}")
     step = _TIMING_STEP / n
@@ -361,7 +370,8 @@ def calibrate_u(n: int, theta_samples) -> float:
     range of hold times and reading the resonance off this way pins the
     interaction strength, since the peak sharpens like 1/n.  The peak is
     flat-topped, so a search on values resolves it only to a few 1e-9.
-    Raises ``BracketError`` when the best sample has no strictly lower,
+    Raises ``PhysicsError`` unless n is a positive multiple of 3, and its
+    subclass ``BracketError`` when the best sample has no strictly lower,
     distinct neighbour on each side.
     """
     return _calibrate_on_grid(n, theta_samples)[0]
@@ -369,6 +379,7 @@ def calibrate_u(n: int, theta_samples) -> float:
 
 def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, float, np.ndarray]:
     """``calibrate_u``, the cattiness found there, and the cattiness swept at the sorted samples."""
+    _require_cat_number(n)
     thetas = np.sort(np.asarray(theta_samples, dtype=np.float64))
     if thetas.size < 3:
         raise BracketError("need at least three samples to bracket a peak")
@@ -376,11 +387,7 @@ def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, float, np.ndarray]
     best = int(np.argmax(values))
     if best == 0 or best == thetas.size - 1:
         raise BracketError("scan maximum sits on the bracket edge; no interior peak")
-
-    def c_at(theta):
-        return cattiness_curve(n, np.array([theta]))[0]
-
-    star, c_star = _golden_maximum(c_at, *thetas[best - 1 : best + 2])
+    star, c_star = _golden_maximum(lambda t: cattiness_curve(n, np.array([t]))[0], *thetas[best - 1 : best + 2])
     return float(star), float(c_star), values
 
 

@@ -234,6 +234,32 @@ def test_exit_code_physics_precondition(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("timing", "--n", "4,6"), 4),
+        (("timing", "--n", "6,3000001"), 3000001),
+        (("fringes", "--n", "5"), 5),
+        (("calibrate-u", "--n", "7"), 7),
+        (("calibrate-u", "--n", "0", "--grid", "1"), 0),
+    ],
+    ids=["timing", "timing-oversized", "fringes", "calibrate-u", "calibrate-u-bad-grid"],
+)
+def test_particle_number_refusal_is_the_librarys_one_message(argv, n, capsys):
+    # refused before any size check or array work, with exit code 3
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1 << 20, f"{peak} bytes traced before the refusal"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ringcat: particle number must be a positive multiple of 3, got {n}\n"
+
+
 def test_calibrate_degenerate_bracket_is_a_physics_error(tmp_path, capsys):
     # a bracket one ulp wide repeats grid samples around the best one
     argv = ("calibrate-u", "--n", "6", "--theta-min-pi", "0.6666666666666666",
@@ -321,9 +347,11 @@ def assert_one_line_refusal(capsys, flag):
         (("calibrate-u", "--n", "3", "--grid", "1000000000000"), "--grid"),
         (("fringes", "--n", "3", "--grid", "1000000000000"), "--grid"),
         (("cat", "--n", "1" + "0" * 400), "--n"),
+        # 176 bytes over the budget: the printed figure must still read above it
+        (("calibrate-u", "--n", "3", "--grid", "2684355"), "--grid"),
     ],
     ids=["ground", "cat", "timing", "calibrate-u", "cattiness-sweep", "fringes", "calibrate-u-grid",
-         "fringes-grid", "cat-400-digits"],
+         "fringes-grid", "cat-400-digits", "calibrate-u-grid-176-bytes-over"],
 )
 def test_oversized_setting_is_refused_before_any_array_work(argv, flag, capsys):
     tracemalloc.start()
@@ -336,6 +364,7 @@ def test_oversized_setting_is_refused_before_any_array_work(argv, flag, capsys):
     assert peak < 1 << 20, f"{peak} bytes traced before the refusal"
     line = assert_one_line_refusal(capsys, flag)
     assert "1 GiB memory budget" in line and line.endswith(f"reduce {flag}"), line
+    assert float(line.split("needs about ")[1].split(" GiB")[0]) > 1, line
 
 
 class Reached(Exception):

@@ -21,7 +21,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,29 @@ def test_cli_output_matches_the_golden_record():
             assert expected["numbers"][key] == want_value, (command, key)
         if same_machine:
             assert expected["sha256"] == want["sha256"], f"stdout bytes moved: {command}"
+
+
+def test_golden_numbers_hold_under_forced_kernels():
+    """Other SIMD kernels round some last bits differently, but every number stays in tolerance.
+
+    The record runs in one child process under OpenBLAS's Haswell kernels
+    and, on a machine with X86_V4, in another with numpy's X86_V4 dispatch
+    disabled.  Each variable is set on its child only, so the child's
+    machine facts differ from the record's and it compares the numbers.
+    The children run one after the other: two at once contend for the
+    BLAS threads and take several times as long.
+    """
+    forced = [{"OPENBLAS_CORETYPE": "Haswell"}]
+    if "X86_V4" in machine_facts()["simd"].split():
+        forced.append({"NPY_DISABLE_CPU_FEATURES": "X86_V4"})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import test_golden; test_golden.test_cli_output_matches_the_golden_record()"
+    for env in forced:
+        child = subprocess.run([sys.executable, "-c", code], cwd=GOLDEN.parent, text=True, timeout=300,
+                               env={**os.environ, **env, "PYTHONPATH": path},
+                               stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        assert child.returncode == 0, (env, child.stdout[-4000:])
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import inspect
 import math
 import subprocess
 import sys
@@ -8,11 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ringcat.basis as basis
+import ringcat.modes as modes
 import ringcat.protocol as protocol
 from ringcat.basis import dimension, enumerate_basis
+from ringcat.interferometer import fringe_scan
 from ringcat.protocol import (
     CAT_HOLD_PHASE,
     BracketError,
+    PhysicsError,
     ProtocolResult,
     analytic_P3,
     calibrate_u,
@@ -261,6 +266,36 @@ def test_timing_tolerance_rejects_bad_input():
         timing_tolerance(4)
     with pytest.raises(ValueError):
         timing_tolerance(6, c_target=1.5)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 4, 5, 31])
+def test_every_cat_search_refuses_a_particle_number_off_the_multiples_of_3(n):
+    # the Z3 selection rule empties P_beta and P_gamma at every theta for
+    # these n, so a search there would only chase rounding noise
+    assert issubclass(PhysicsError, ValueError) and issubclass(BracketError, PhysicsError)
+    message = f"particle number must be a positive multiple of 3, got {n}$"
+    with pytest.raises(PhysicsError, match=message):
+        timing_tolerance(n)
+    with pytest.raises(PhysicsError, match=message):
+        calibrate_u(n, np.linspace(0.5 * np.pi, 5 * np.pi / 6, 121))
+    with pytest.raises(PhysicsError, match=message):
+        fringe_scan(n, 0.0, [0.1], 1.0)
+
+
+def test_cached_per_n_arrays_are_read_only():
+    # a write through any of them would corrupt every later call for that n
+    values = {"n": 6, "p": 0, "q": 1}
+    checked = set()
+    for module in (basis, modes, protocol):
+        for name, func in vars(module).items():
+            if not hasattr(func, "cache_info") or func.__module__ != module.__name__:
+                continue
+            result = func(*(values[p] for p in inspect.signature(func).parameters))
+            for a in result if isinstance(result, tuple) else (result,):
+                if isinstance(a, np.ndarray):
+                    assert not a.flags.writeable, name
+                    checked.add(name)
+    assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients"} <= checked
 
 
 def test_calibration_finds_the_resonance():
