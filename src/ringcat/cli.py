@@ -16,9 +16,12 @@ phase overflows a float are refused with exit code 2 before any work.
 
 So are settings whose largest structure, estimated in closed form from
 ``--n`` and ``--grid``, would exceed ``SIZE_BUDGET`` (1 GiB): the lift's
-(n+1)^3 eigenbases for ``cat`` and ``fringes``, the hold-phase sweep's
-min(points, 2048) x dim phase buffer for ``timing`` and ``calibrate-u``, the
-per-n cached arrays ``cattiness-sweep`` keeps (it keeps no n's final state),
+(n+1)^3 eigenbases for ``cat`` and ``fringes``, the min(points, 2048) x dim
+complex block that the hold-phase sweep's answer is defined on for ``timing``
+and ``calibrate-u`` (a conservative bound, kept so the accepted range does
+not move: the sweep's buffer holds at most 16 MiB of it at a time, or three
+rows from N = 835 on), the per-n cached arrays ``cattiness-sweep`` keeps (it
+keeps no n's final state),
 and the emitted table at 200 bytes per value, a conservative bound (about
 45 measured in CSV and JSON).  The largest accepted N is 1890 for
 ``ground``, 511 for ``cat``, 510 for ``fringes``, 252 for ``timing`` and for
@@ -141,7 +144,12 @@ def _lift_bytes(n: int) -> int:
 
 
 def _sweep_bytes(n: int, points: int) -> int:
-    """The hold-phase sweep's min(points, 2048) x dim complex128 phase buffer."""
+    """The min(points, 2048) x dim complex128 block the hold-phase sweep is defined on.
+
+    The sweep runs a block above 16 MiB in pieces, so its buffer is at most
+    16 MiB (three rows from N = 835 on); the block stays the estimate, a
+    conservative bound that keeps each N_max where it was.
+    """
     return 16 * min(points, _SWEEP_CHUNK) * dimension(n)
 
 

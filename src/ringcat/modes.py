@@ -184,6 +184,9 @@ class _Sweep:
         occs = [_pair_layout(n, p, q)[0] for p, q in _PAIRS] + [enumerate_basis(n)]
         phases = tuple(np.exp(1j * (occ @ phi)) for occ, phi in zip(occs, phis))
         turns = tuple(None if t == 0 else np.exp(1j * t * lam)[..., None] for t in thetas)
+        for a in phases + turns:
+            if a is not None:
+                a.setflags(write=False)
         return cls(n, phases, turns)
 
     def apply(self, x: np.ndarray) -> np.ndarray:

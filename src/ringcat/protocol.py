@@ -43,10 +43,16 @@ __all__ = [
 
 CAT_HOLD_PHASE = 2.0 * math.pi / 3.0
 
-# Theta points per block of the sweep; sizes its one (points x dim) phase buffer.
-# The block also fixes how BLAS splits and rounds the ``@ wconj`` product, so a
-# different block size (or a merged tail) moves output bits.
+# Theta points per block of the sweep.  The answer is defined on these blocks,
+# tail included, since the row count of the ``@ wconj`` zgemm sets its bits (exp,
+# take and *= ground are elementwise).  Measured for N = 1..99, 120, 150, 180 and
+# 2-1536 rows (SkylakeX core, 2 threads), rows differ from the 2048-row product
+# only in calls of at most 77,616 values (N = 97, 16 rows) and in one-row calls
+# (zgemv).  So a block over _SWEEP_PIECE values (16 MiB) runs as near-equal pieces
+# of at most max(3, _SWEEP_PIECE // dim) rows: about 2^19 values or more, never
+# one row.  The one phase buffer holds one piece.
 _SWEEP_CHUNK = 2048
+_SWEEP_PIECE = 1 << 20
 
 # Timing-tolerance scan: grid step 1e-4/n in delta, and the largest delta scanned.
 _TIMING_STEP = 1e-4
@@ -152,21 +158,26 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     against dimensions 496 and 4186).  So ``exp`` runs on the distinct
     values only and the result is gathered onto the kets; equal arguments
     give equal bits, so this matches a per-ket ``exp`` exactly.
+
+    The answer is defined on 2048-row blocks; a block over 16 MiB runs in
+    pieces that keep its bits (see ``_SWEEP_CHUNK``).
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
     ground, uhalf, where, wconj = _sweep_inputs(n)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty((thetas.size, 3), dtype=np.float64)
-    buf = np.empty((min(thetas.size, _SWEEP_CHUNK), where.size), dtype=np.complex128)
+    sub = max(3, _SWEEP_PIECE // where.size)
+    buf = np.empty((min(thetas.size, _SWEEP_CHUNK, sub), where.size), dtype=np.complex128)
     for lo in range(0, thetas.size, _SWEEP_CHUNK):
-        th = thetas[lo : lo + _SWEEP_CHUNK]
-        uph = np.exp(np.multiply(-1j, np.outer(th, uhalf)))
-        # mode="clip" lets take write straight into the buffer; "raise" would copy
-        phases = np.take(uph, where, axis=1, out=buf[: th.size], mode="clip")
-        del uph  # not held through the matmul, to keep the peak at one buffer
-        phases *= ground
-        out[lo : lo + th.size] = np.abs(phases @ wconj) ** 2
+        block = np.arange(lo, min(lo + _SWEEP_CHUNK, thetas.size))
+        for rows in np.array_split(block, -(-block.size // sub)):
+            uph = np.exp(np.multiply(-1j, np.outer(thetas[rows], uhalf)))
+            # mode="clip" lets take write straight into the buffer; "raise" would copy
+            phases = np.take(uph, where, axis=1, out=buf[: rows.size], mode="clip")
+            del uph  # not held through the matmul, to keep the peak at one buffer
+            phases *= ground
+            out[rows] = np.abs(phases @ wconj) ** 2
     return out
 
 

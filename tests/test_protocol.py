@@ -291,11 +291,13 @@ def test_cached_per_n_arrays_are_read_only():
             if not hasattr(func, "cache_info") or func.__module__ != module.__name__:
                 continue
             result = func(*(values[p] for p in inspect.signature(func).parameters))
+            if isinstance(result, modes.FockLift):
+                result = sum((s.phases + s.turns for s in (result.forward, result.adjoint)), ())
             for a in result if isinstance(result, tuple) else (result,):
                 if isinstance(a, np.ndarray):
                     assert not a.flags.writeable, name
                     checked.add(name)
-    assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients"} <= checked
+    assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients", "dft_lift"} <= checked
 
 
 def test_calibration_finds_the_resonance():
@@ -375,48 +377,76 @@ def test_sweep_matches_single_runs():
         assert np.allclose(row, (r.p_alpha, r.p_beta, r.p_gamma), atol=1e-13)
 
 
-def test_sweep_reuses_one_chunk_buffer():
-    n = 60
-    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * protocol._SWEEP_CHUNK)
-    sweep_protocol_probabilities(n, thetas[:1])  # cache the per-n inputs outside the trace
-    chunk_bytes = protocol._SWEEP_CHUNK * dimension(n) * np.dtype(np.complex128).itemsize
+PIECE_BYTES = 16 * 2**20  # the most one piece of a sweep block may hold
+
+
+def traced_peak(func, *args):
+    """Peak bytes traced while ``func(*args)`` runs."""
     tracemalloc.start()
     try:
-        sweep_protocol_probabilities(n, thetas)
-        _, peak = tracemalloc.get_traced_memory()
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk buffers"
+
+
+def test_sweep_reuses_one_chunk_buffer():
+    # the buffer holds one piece of a 2048-row block (62 MB at n = 60 and
+    # 137 MB at n = 90 for a whole block), plus a small per-piece exp table
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * protocol._SWEEP_CHUNK)
+    for n in (60, 90):
+        sweep_protocol_probabilities(n, thetas[:1])  # cache the per-n inputs outside the trace
+        peak = traced_peak(sweep_protocol_probabilities, n, thetas)
+        assert peak < 1.3 * PIECE_BYTES, f"n={n}: peak {peak / PIECE_BYTES:.2f} pieces"
+
+
+def test_calibration_grid_sweep_peaks_near_one_piece():
+    thetas = np.linspace(0.6 * math.pi, 0.73 * math.pi, 4001)
+    sweep_protocol_probabilities(90, thetas[:1])
+    peak = traced_peak(protocol._calibrate_on_grid, 90, thetas)
+    assert peak < 1.3 * PIECE_BYTES, f"peak {peak / PIECE_BYTES:.2f} pieces"
 
 
 def per_ket_exp_sweeps(n, thetas, sizes):
     """The sweep over ``thetas[:size]`` for each size, with ``exp`` taken per ket.
 
     The arithmetic of the sweep before ``exp`` ran on distinct pair counts
-    only: exp(-1j * outer(theta, half)) over every ket, times the ground
-    amplitudes, then ``@ wconj`` in 2048-row blocks.  The exp is elementwise,
-    so it runs once over the longest grid.
+    only, and before its blocks ran in pieces: exp(-1j * outer(theta, half))
+    over every ket, times the ground amplitudes, then ``@ wconj`` on each
+    whole 2048-row block.  The exp is elementwise, so it runs once per block
+    of the longest grid.
     """
     from ringcat.basis import multinomial_amplitudes, pair_counts
     from ringcat.modes import extremal_columns
 
     half = 0.5 * pair_counts(n).astype(np.float64)
     wconj = np.ascontiguousarray(extremal_columns(n).conj())
-    phases = np.exp(np.multiply(-1j, np.outer(thetas[: max(sizes)], half)))
-    phases *= multinomial_amplitudes(n)
-    for size in sizes:
-        out = np.empty((size, 3))
-        for lo in range(0, size, 2048):
-            hi = min(lo + 2048, size)
-            out[lo:hi] = np.abs(phases[lo:hi] @ wconj) ** 2
-        yield size, out
+    outs = {size: np.empty((size, 3)) for size in sizes}
+    for lo in range(0, max(sizes), 2048):
+        phases = np.multiply(-1j, np.outer(thetas[lo : min(lo + 2048, max(sizes))], half))
+        np.exp(phases, out=phases)
+        phases *= multinomial_amplitudes(n)
+        for size, out in outs.items():
+            rows = min(size - lo, 2048)
+            if rows > 0:
+                out[lo : lo + rows] = np.abs(phases[:rows] @ wconj) ** 2
+    return outs.items()
+
+
+def piece_edge_sizes(n):
+    """Grid sizes whose tail block holds one piece's rows, and one row more."""
+    sub = protocol._SWEEP_PIECE // dimension(n)
+    return protocol._SWEEP_CHUNK + sub, protocol._SWEEP_CHUNK + sub + 1
 
 
 @pytest.mark.parametrize(
     "n, sizes",
-    [(n, (0, 1, 2, 17, 2048, 2049, 4001)) for n in (1, 2, 3, 30, 60)] + [(90, (1, 2, 2049))],
+    [(n, (0, 1, 2, 17, 2048, 2049, 4001)) for n in (1, 2, 3, 30)]
+    + [(n, (0, 1, 2, 17, 31, 32, 33, 2047, 2048, 2049, 4001) + piece_edge_sizes(n)) for n in (60, 90, 45)],
 )
 def test_distinct_pair_count_exp_keeps_every_bit(n, sizes):
+    # each block's product keeps the bits of the whole 2048-row block, at
+    # every size and on both sides of the tail that runs as one piece
     thetas = np.linspace(0.1, 2.0 * math.pi + 0.3, 4001)
     for size, expected in per_ket_exp_sweeps(n, thetas, sizes):
         assert np.array_equal(sweep_protocol_probabilities(n, thetas[:size]), expected), size
