@@ -15,13 +15,14 @@ refused by the argument parser with exit code 2, and settings whose largest
 phase overflows a float are refused with exit code 2 before any work.
 
 So are settings whose largest structure, estimated in closed form from
-``--n`` and ``--grid``, would exceed ``SIZE_BUDGET`` (1 GiB): the lift's
-(n+1)^3 eigenbases for ``cat`` and ``fringes``, the min(points, 2048) x dim
-complex block that the hold-phase sweep's answer is defined on for ``timing``
-and ``calibrate-u`` (a conservative bound, kept so the accepted range does
-not move: the sweep's buffer holds at most 16 MiB of it at a time, or three
-rows from N = 835 on), the per-n cached arrays ``cattiness-sweep`` keeps (it
-keeps no n's final state),
+``--n`` and ``--grid``, would exceed ``SIZE_BUDGET`` (1 GiB): (n+1)^3 floats
+for the lift's eigenbases in ``cat`` and ``fringes`` (a conservative bound,
+kept so the accepted range does not move: the eigenbases, in classes of 16
+block sizes, hold about a third of it), the min(points, 2048) x dim complex
+block that the hold-phase sweep's answer is defined on for ``timing`` and
+``calibrate-u`` (likewise a conservative bound: the sweep's buffer holds at
+most 4 MiB of it at a time, or three rows from N = 417 on), the per-n cached
+arrays ``cattiness-sweep`` keeps (it keeps no n's final state),
 and the emitted table at 200 bytes per value, a conservative bound (about
 45 measured in CSV and JSON).  The largest accepted N is 1890 for
 ``ground``, 511 for ``cat``, 510 for ``fringes``, 252 for ``timing`` and for
@@ -139,15 +140,21 @@ def _table_bytes(rows: int, columns: int) -> int:
 
 
 def _lift_bytes(n: int) -> int:
-    """The Fock lift's padded (n+1)^3 float64 hopping eigenbases."""
+    """(n+1)^3 float64 values, a conservative bound on the Fock lift's hopping eigenbases.
+
+    The eigenbases are held in classes of 16 block sizes, each padded to its
+    own largest block: about a third of this (375 MB against 1,074 MB at
+    N = 511).  The padded figure stays the estimate, which keeps each N_max
+    where it was.
+    """
     return 8 * (n + 1) ** 3
 
 
 def _sweep_bytes(n: int, points: int) -> int:
     """The min(points, 2048) x dim complex128 block the hold-phase sweep is defined on.
 
-    The sweep runs a block above 16 MiB in pieces, so its buffer is at most
-    16 MiB (three rows from N = 835 on); the block stays the estimate, a
+    The sweep runs a block above 4 MiB in pieces, so its buffer is at most
+    4 MiB (three rows from N = 417 on); the block stays the estimate, a
     conservative bound that keeps each N_max where it was.
     """
     return 16 * min(points, _SWEEP_CHUNK) * dimension(n)

@@ -18,7 +18,9 @@ the pair it acts as exp(i theta T_K).  T_K is the real tridiagonal hopping
 generator a_p^dag a_q + h.c., the Schwinger-boson 2 J_x, with exact
 eigenvalues -K, -K + 2, ..., K.  One ``eigh`` of each T_K (Feng et al.,
 PRE 92, 043307, 2015) therefore serves every rotation angle and both
-directions.  Applying the lift costs O(N^3) and needs O(N^3) memory.  The
+directions.  Applying the lift costs O(N^3).  The eigenbases are kept in
+classes of 16 block sizes, each zero-padded to its largest block only, so
+they take about a third of the (N+1)^3 floats of one common padding.  The
 norm and round-trip defects on random vectors stay at the 1e-15 level
 through N = 150, which the test suite checks.  Lifts compose the way the
 3x3 matrices do, which the tests check rather than assume.
@@ -48,6 +50,10 @@ __all__ = [
 _PAIRS = ((1, 2), (0, 1), (1, 2))
 # kets of the dense matrix built per batch, which bounds the workspace
 _MATRIX_BATCH = 256
+# Block sizes K+1 per eigenbasis class.  A product's bits follow its k-length
+# modulo 16 and BLAS's trans flag, not the zeros it multiplies, so each class
+# pads to its own largest block and keeps the bits of one common (n+1) padding.
+_CLASS_SIZE = 16
 
 
 # ranks of the three extremal occupations (n,0,0), (0,n,0), (0,0,n)
@@ -98,25 +104,32 @@ def _givens_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _hopping_eigenbases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of T_K for K = 0..n, zero-padded to (n+1, n+1, n+1).
+def _hopping_eigenbases(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Eigenvectors of T_K for K = 0..n, in classes of consecutive K.
 
-    Returns (V, eigenvalues): ``V[K]`` holds the eigenvectors of T_K
-    in its leading (K+1) x (K+1) block, over kets ordered by the second
-    mode's occupation t.  The eigenvalues are set to their exact values
-    -K, -K+2, ..., K, the ascending order ``eigh`` returns them in.
+    Returns (classes, eigenvalues).  A class holds the K of one run
+    K0..K0+count-1 (16 of them, the last class fewer) as a (count, s, s)
+    array with s the largest K+1 in it: entry K-K0 holds the eigenvectors of
+    T_K in its leading (K+1) x (K+1) block, over kets ordered by the second
+    mode's occupation t, and zeros elsewhere.  The eigenvalues, (n+1, n+1) with row K zero-padded, are set
+    to their exact values -K, -K+2, ..., K, the ascending order ``eigh``
+    returns them in.
     """
-    vecs = np.zeros((n + 1, n + 1, n + 1))
+    classes = []
     lam = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        t = np.arange(1, k + 1)
-        hop = np.sqrt(t * (k - t + 1.0))
-        gen = np.diag(hop, 1) + np.diag(hop, -1)
-        vecs[k, : k + 1, : k + 1] = np.linalg.eigh(gen)[1]
-        lam[k, : k + 1] = np.arange(-k, k + 1, 2)
-    for a in (vecs, lam):
+    for lo in range(0, n + 1, _CLASS_SIZE):
+        hi = min(lo + _CLASS_SIZE, n + 1)
+        vecs = np.zeros((hi - lo, hi, hi))
+        for k in range(lo, hi):
+            t = np.arange(1, k + 1)
+            hop = np.sqrt(t * (k - t + 1.0))
+            gen = np.diag(hop, 1) + np.diag(hop, -1)
+            vecs[k - lo, : k + 1, : k + 1] = np.linalg.eigh(gen)[1]
+            lam[k, : k + 1] = np.arange(-k, k + 1, 2)
+        classes.append(vecs)
+    for a in classes + [lam]:
         a.setflags(write=False)
-    return vecs, lam
+    return tuple(classes), lam
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +158,8 @@ def _gathers(n: int) -> tuple[np.ndarray, ...]:
     The first reads the canonical vector with one zero appended (index
     ``dim``); each later one reads the previous layout, sending empty slots
     to an empty slot of it; the last returns to canonical order.  Empty
-    slots stay zero throughout, because the eigenbases are zero-padded.
+    slots stay zero throughout: the eigenbases are zero-padded, and no
+    product writes the slots past its class's size.
     """
     dim = dimension(n)
     src = np.arange(dim)
@@ -192,18 +206,19 @@ class _Sweep:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Act on the rows of x, shape (m, dim): one state per row.
 
-        Every BLAS call has the shape of a single state's: each rotation
-        is one broadcast ``np.matmul`` of the (n+1) x (n+1) eigenbases with
-        y shaped (m, n+1, n+1, 2), the real view of one complex column per
-        block, so it runs m * (n+1) products of (n+1) x (n+1) times
-        (n+1) x 2.  A row therefore gets the same bits alone as in any
-        stack.  States are never put side by side as columns of one
-        product: BLAS rounds widths of 1-2 columns differently from wider
-        ones (a few 1e-15).
+        Every BLAS call has the shape of a single state's.  A rotation runs
+        two broadcast ``np.matmul`` per eigenbasis class, each of the
+        class's (s, s) eigenbases (transposed, then as stored) with one
+        block's leading s slots in the real view, an (s, 2) float matrix:
+        m * count products per class.  The transpose is a view, so BLAS
+        reads it with its trans flag, as it would a padded (n+1)-sized one.
+        A row therefore gets the same bits alone as in any stack.  States
+        are never put side by side as columns of one product: BLAS rounds
+        widths of 1-2 columns differently from wider ones (a few 1e-15).
+        Slots past a class's s are empty and stay zero.
         """
         n = self.n
-        vecs, _ = _hopping_eigenbases(n)
-        vecs_t = vecs.transpose(0, 2, 1)  # BLAS reads the transpose in place
+        classes, _ = _hopping_eigenbases(n)
         gathers = _gathers(n)
         rows = x.shape[0]
         y = np.zeros((rows, x.shape[1] + 1), dtype=np.complex128)
@@ -212,11 +227,16 @@ class _Sweep:
             y = y[:, gather]
             y *= phase
             if turn is not None:
-                y = y.reshape(rows, n + 1, n + 1, 1)
-                y = np.matmul(vecs_t, y.view(np.float64)).view(np.complex128)
-                y *= turn
-                y = np.matmul(vecs, y.view(np.float64)).view(np.complex128)
-                y = y.reshape(rows, -1)
+                slots = y.reshape(rows, n + 1, n + 1, 1).view(np.float64)
+                lo = 0
+                for vecs in classes:
+                    count, s = vecs.shape[:2]
+                    block = slots[:, lo : lo + count, :s]
+                    v = np.matmul(vecs.transpose(0, 2, 1), block)
+                    w = v.view(np.complex128)
+                    w *= turn[lo : lo + count, :s]
+                    np.matmul(vecs, v, out=block)
+                    lo += count
         y = y[:, gathers[3]]
         y *= self.phases[3]
         return y

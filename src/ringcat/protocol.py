@@ -48,11 +48,11 @@ CAT_HOLD_PHASE = 2.0 * math.pi / 3.0
 # take and *= ground are elementwise).  Measured for N = 1..99, 120, 150, 180 and
 # 2-1536 rows (SkylakeX core, 2 threads), rows differ from the 2048-row product
 # only in calls of at most 77,616 values (N = 97, 16 rows) and in one-row calls
-# (zgemv).  So a block over _SWEEP_PIECE values (16 MiB) runs as near-equal pieces
-# of at most max(3, _SWEEP_PIECE // dim) rows: about 2^19 values or more, never
+# (zgemv).  So a block over _SWEEP_PIECE values (4 MiB) runs as near-equal pieces
+# of at most max(3, _SWEEP_PIECE // dim) rows: about 2^17 values or more, never
 # one row.  The one phase buffer holds one piece.
 _SWEEP_CHUNK = 2048
-_SWEEP_PIECE = 1 << 20
+_SWEEP_PIECE = 1 << 18
 
 # Timing-tolerance scan: grid step 1e-4/n in delta, and the largest delta scanned.
 _TIMING_STEP = 1e-4
@@ -159,7 +159,7 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     values only and the result is gathered onto the kets; equal arguments
     give equal bits, so this matches a per-ket ``exp`` exactly.
 
-    The answer is defined on 2048-row blocks; a block over 16 MiB runs in
+    The answer is defined on 2048-row blocks; a block over 4 MiB runs in
     pieces that keep its bits (see ``_SWEEP_CHUNK``).
     """
     if n < 1:

@@ -6,8 +6,8 @@ Each command in ``tests/golden.json`` runs in-process through
 match the record at 1e-12, except ``theta_star``, which the calibration
 resolves only to a few 1e-9; a recorded NaN (a fringe period the grid
 cannot measure) must come back as NaN.  On the machine the record was
-taken on (same numpy, BLAS build, active OpenBLAS core, SIMD extensions
-and architecture) the sha256 of stdout must match as well; elsewhere BLAS
+taken on (same numpy, BLAS build, active OpenBLAS core and thread count,
+SIMD extensions and architecture) the sha256 of stdout must match as well; elsewhere BLAS
 may pick other kernels and round the last bits differently, so only the
 numbers are compared.
 
@@ -66,6 +66,18 @@ TOL = 1e-12
 LOOSE_TOL = {"theta_star": 1e-8, "theta_star_pi": 1e-8}
 
 
+def openblas_query(symbol: str, restype):
+    """One query of numpy's bundled scipy-openblas through ctypes, or None if it cannot be made."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            query = getattr(ctypes.CDLL(str(path)), symbol)
+        except (OSError, AttributeError):
+            continue
+        query.restype = restype
+        return query()
+    return None
+
+
 def openblas_core() -> str:
     """The core a DYNAMIC_ARCH OpenBLAS picked at load time, or "" if it cannot be read.
 
@@ -73,14 +85,18 @@ def openblas_core() -> str:
     one AVX-512 machine and Haswell kernels under OPENBLAS_CORETYPE=Haswell,
     and the two round some outputs' last bits differently.
     """
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return ""
+    core = openblas_query("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return "" if core is None else core.decode()
+
+
+def openblas_threads() -> str:
+    """OpenBLAS's thread count, or "" if it cannot be read.
+
+    The sweep's zgemm rounds according to how OpenBLAS splits it across
+    threads, so OPENBLAS_NUM_THREADS=1 moves last bits on a 2-thread machine.
+    """
+    threads = openblas_query("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return "" if threads is None else str(threads)
 
 
 def machine_facts() -> dict:
@@ -90,6 +106,7 @@ def machine_facts() -> dict:
         "numpy": np.__version__,
         "blas": " ".join(str(blas.get(key, "")) for key in ("name", "version", "openblas configuration")),
         "openblas_core": openblas_core(),
+        "openblas_threads": openblas_threads(),
         "simd": " ".join(config["SIMD Extensions"]["found"]),
         "machine": platform.machine(),
     }

@@ -146,6 +146,18 @@ def test_scan_rows_sum_to_one_and_measure_the_period():
     assert scan.period_xi_dt == pytest.approx(2.0 * math.pi / 3.0, rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "n, j, xi_max, dt",
+    [(3, 0.0, 2.0 * math.pi, 1.0), (30, 1.0, 1.0, 1.0), (45, 0.25, 0.7, 1.1), (6, 1e3, 1e4, 0.3)],
+)
+def test_scan_closed_columns_are_fringe_probabilities_bit_for_bit(n, j, xi_max, dt):
+    xi = np.linspace(-xi_max, xi_max, 9)
+    scan = fringe_scan(n, j, xi, dt)
+    for row, x in zip(scan.probs_closed, xi):
+        want = fringe_probabilities(FringeSettings.from_physical(n, j, float(x), dt))
+        assert row.tobytes() == np.array(want).tobytes(), x
+
+
 def test_fringe_frequency_scales_with_n():
     grid3 = np.linspace(0.0, 2.0 * math.pi, 720)
     grid6 = np.linspace(0.0, math.pi, 720)

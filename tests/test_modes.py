@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ringcat.modes as modes
 from ringcat.basis import dimension, enumerate_basis, rank
 from ringcat.evolution import evolve_interaction_phase
 from ringcat.modes import (
@@ -224,3 +226,71 @@ def test_lift_of_a_stack_of_rows_matches_each_row_bit_for_bit(n):
     for k in {0, dim // 2, dim - 1}:
         alone = lift.to_momentum(fock_state(occ[k], Representation.SITE)).amps
         assert lift.matrix[:, k].tobytes() == alone.tobytes()
+
+
+def padded_eigenbases(n):
+    """T_K eigenvectors from one ``eigh`` each, all zero-padded to (n+1) x (n+1)."""
+    vecs = np.zeros((n + 1, n + 1, n + 1))
+    for k in range(n + 1):
+        hop = np.sqrt(np.arange(1, k + 1) * (k - np.arange(1, k + 1) + 1.0))
+        vecs[k, : k + 1, : k + 1] = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))[1]
+    return vecs
+
+
+def padded_apply(sweep, vecs, x):
+    """A lift direction with one (n+1)-padded matmul per rotation step, the reference layout."""
+    n = sweep.n
+    gathers = modes._gathers(n)
+    y = np.zeros((x.shape[0], x.shape[1] + 1), dtype=np.complex128)
+    y[:, :-1] = x
+    for gather, phase, turn in zip(gathers[:3], sweep.phases[:3], sweep.turns):
+        y = y[:, gather]
+        y *= phase
+        if turn is not None:
+            y = y.reshape(x.shape[0], n + 1, n + 1, 1)
+            y = np.matmul(vecs.transpose(0, 2, 1), y.view(np.float64)).view(np.complex128)
+            y *= turn
+            y = np.matmul(vecs, y.view(np.float64)).view(np.complex128)
+            y = y.reshape(x.shape[0], -1)
+    y = y[:, gathers[3]]
+    y *= sweep.phases[3]
+    return y
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 45, 63, 64, 65, 90, 150])
+def test_eigenbasis_classes_keep_the_padded_bits(n):
+    # each side of a class edge (16, 32, 64)
+    rng = np.random.default_rng(500 + n)
+    lift = lift_to_fock(haar_unitary(rng), n)
+    vecs = padded_eigenbases(n)
+    for rows in (1, 7):
+        x = rng.normal(size=(rows, dimension(n))) + 1j * rng.normal(size=(rows, dimension(n)))
+        for sweep in (lift.forward, lift.adjoint):
+            assert sweep.apply(x).tobytes() == padded_apply(sweep, vecs, x).tobytes(), rows
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 45])
+def test_dense_lift_keeps_the_padded_bits(n):
+    # the dense matrix runs the classes on 256-ket stacks
+    lift = lift_to_fock(haar_unitary(np.random.default_rng(600 + n)), n)
+    vecs = padded_eigenbases(n)
+    dim = dimension(n)
+    for lo in range(0, dim, 256):
+        kets = np.eye(min(256, dim - lo), dim, lo, dtype=np.complex128)
+        assert lift.matrix[:, lo : lo + kets.shape[0]].T.tobytes() == padded_apply(lift.forward, vecs, kets).tobytes()
+
+
+def test_eigenbasis_classes_hold_a_third_of_the_padded_floats():
+    n = 150
+    # classes K = 16j..16j+15 at sizes 16, 32, ..., 144, and K = 144..150 at 151
+    held = 8 * (sum(16 * (16 * j) ** 2 for j in range(1, 10)) + 7 * 151**2)
+    assert held < 0.4 * 8 * (n + 1) ** 3  # 10.6 MB against 27.5 MB
+    tracemalloc.start()
+    try:
+        classes, _ = modes._hopping_eigenbases.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c.nbytes for c in classes) == held
+    # plus one eigh's workspace and the eigenvalues: 11.3 MB measured
+    assert peak < 1.1 * held, f"peak {peak / held:.3f} of the classes"

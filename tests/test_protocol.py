@@ -282,22 +282,32 @@ def test_every_cat_search_refuses_a_particle_number_off_the_multiples_of_3(n):
         fringe_scan(n, 0.0, [0.1], 1.0)
 
 
+def arrays_in(result):
+    """Every array a cached result holds, through nested tuples and a lift's sweeps."""
+    if isinstance(result, modes.FockLift):
+        result = tuple(s.phases + s.turns for s in (result.forward, result.adjoint))
+    if isinstance(result, tuple):
+        for item in result:
+            yield from arrays_in(item)
+    elif isinstance(result, np.ndarray):
+        yield result
+
+
 def test_cached_per_n_arrays_are_read_only():
-    # a write through any of them would corrupt every later call for that n
-    values = {"n": 6, "p": 0, "q": 1}
-    checked = set()
+    # a write through any of them would corrupt every later call for that n;
+    # n = 33 puts the lift's eigenbases in three classes
+    values = {"n": 33, "p": 0, "q": 1}
+    checked = {}
     for module in (basis, modes, protocol):
         for name, func in vars(module).items():
             if not hasattr(func, "cache_info") or func.__module__ != module.__name__:
                 continue
             result = func(*(values[p] for p in inspect.signature(func).parameters))
-            if isinstance(result, modes.FockLift):
-                result = sum((s.phases + s.turns for s in (result.forward, result.adjoint)), ())
-            for a in result if isinstance(result, tuple) else (result,):
-                if isinstance(a, np.ndarray):
-                    assert not a.flags.writeable, name
-                    checked.add(name)
-    assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients", "dft_lift"} <= checked
+            for a in arrays_in(result):
+                assert not a.flags.writeable, name
+                checked[name] = checked.get(name, 0) + 1
+    assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients", "dft_lift"} <= set(checked)
+    assert checked["_hopping_eigenbases"] == 4  # three classes and the eigenvalues
 
 
 def test_calibration_finds_the_resonance():
@@ -377,7 +387,7 @@ def test_sweep_matches_single_runs():
         assert np.allclose(row, (r.p_alpha, r.p_beta, r.p_gamma), atol=1e-13)
 
 
-PIECE_BYTES = 16 * 2**20  # the most one piece of a sweep block may hold
+PIECE_BYTES = 4 * 2**20  # the most one piece of a sweep block may hold
 
 
 def traced_peak(func, *args):
