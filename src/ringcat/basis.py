@@ -10,6 +10,9 @@ changes.
 Factorial weights are computed through a log-gamma table so that amplitudes
 stay finite well beyond the particle numbers where 64-bit factorials
 overflow.
+
+The per-n tables here, in ``modes`` and in ``protocol`` are cached for the
+last n only, so a run over many n holds one n's tables at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def dimension(n: int) -> int:
     return ((n + 1) * (n + 2)) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def enumerate_basis(n: int) -> np.ndarray:
     """All occupation triples for ``n`` particles, canonical order.
 
@@ -76,7 +79,7 @@ def unrank(i: int, n: int) -> tuple[int, int, int]:
     return n0, n1, n - n0 - n1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def log_factorials(n: int) -> np.ndarray:
     """Table of log(k!) for k = 0..n, one lgamma call per entry."""
     table = np.array([math.lgamma(k + 1) for k in range(n + 1)], dtype=np.float64)
@@ -97,7 +100,7 @@ def multinomial_amplitude(p: int, q: int, r: int) -> float:
     return math.exp(0.5 * (lf[n] - lf[p] - lf[q] - lf[r]) - 0.5 * n * LOG3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def multinomial_amplitudes(n: int) -> np.ndarray:
     """Vector of ``multinomial_amplitude`` over the whole basis for ``n``."""
     occ = enumerate_basis(n)
@@ -109,7 +112,7 @@ def multinomial_amplitudes(n: int) -> np.ndarray:
     return amps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def pair_counts(n: int) -> np.ndarray:
     """Vector of sum_k n_k (n_k - 1) over the basis (pairwise interaction weight)."""
     occ = enumerate_basis(n)

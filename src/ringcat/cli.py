@@ -14,20 +14,10 @@ Malformed flags, including non-finite or zero-denominator angles, are
 refused by the argument parser with exit code 2, and settings whose largest
 phase overflows a float are refused with exit code 2 before any work.
 
-So are settings whose largest structure, estimated in closed form from
-``--n`` and ``--grid``, would exceed ``SIZE_BUDGET`` (1 GiB): (n+1)^3 floats
-for the lift's eigenbases in ``cat`` and ``fringes`` (a conservative bound,
-kept so the accepted range does not move: the eigenbases, in classes of 16
-block sizes, hold about a third of it), the min(points, 2048) x dim complex
-block that the hold-phase sweep's answer is defined on for ``timing`` and
-``calibrate-u`` (likewise a conservative bound: the sweep's buffer holds at
-most 4 MiB of it at a time, or three rows from N = 417 on), the per-n cached
-arrays ``cattiness-sweep`` keeps (it keeps no n's final state),
-and the emitted table at 200 bytes per value, a conservative bound (about
-45 measured in CSV and JSON).  The largest accepted N is 1890 for
-``ground``, 511 for ``cat``, 510 for ``fringes``, 252 for ``timing`` and for
-``calibrate-u`` at 2048 or more grid points, and 416 for ``cattiness-sweep``
-from ``--n-min 1``.
+So are settings whose estimated peak memory exceeds ``SIZE_BUDGET`` (1 GiB):
+each command sums, in closed form and before any array work, the arrays it
+holds at its peak (see ``_footprint``).  README lists the largest N each
+command accepts.
 """
 
 from __future__ import annotations
@@ -41,10 +31,11 @@ import sys
 import numpy as np
 
 from .basis import dimension, enumerate_basis
-from .interferometer import fringe_scan
-from .modes import momentum_distribution
+from .interferometer import _BLOCK_BYTES, fringe_scan
+from .modes import _CLASS_SIZE, _require_finite_columns, momentum_distribution
 from .protocol import (
     _SWEEP_CHUNK,
+    _SWEEP_PIECE,
     CAT_HOLD_PHASE,
     PhysicsError,
     _calibrate_on_grid,
@@ -59,14 +50,11 @@ __all__ = ["main"]
 
 SUM_TOL = 1e-10
 
-# Memory a command's largest structure may take; see _check_size.
+# Memory a command may hold at its peak; see _check_size.
 SIZE_BUDGET = 1 << 30
-# Bytes per emitted table value, a conservative bound (measured ~45 in CSV
-# and JSON: the Python objects of one row tuple list; the text is streamed).
-_CELL_BYTES = 200
-# Bytes kept per ket for each n a cattiness sweep visits: the cached basis,
-# amplitudes, pair counts and extremal columns (24 + 8 + 8 + 48).
-_CACHED_KET_BYTES = 88
+# Each estimate is its counted bytes times 5/4.  Traced with tracemalloc at
+# N = 150, every command peaks at 1.01 to 1.14 times the bytes it counts.
+_SAFETY = (5, 4)
 
 
 def _finite_float(text: str) -> float:
@@ -121,43 +109,54 @@ def _check_phase(setting: str, phase: float) -> None:
         raise ValueError(f"largest phase overflows a float; reduce {setting}")
 
 
-def _check_size(setting: str, nbytes: int) -> None:
-    """Refuse a setting whose largest structure would exceed ``SIZE_BUDGET``.
+def _footprint(args, n: int) -> dict[str, int]:
+    """Bytes ``args.command`` holds at its peak with ``n`` particles, by the flag that sets them.
 
-    ``nbytes`` is a closed-form estimate, so the check runs before any array
-    work.  It prints rounded up to 0.001 GiB, so an excess shows, and an
-    estimate too large for a float reads as inf.
+    Each term is closed-form, a Python int for any n.  Per ket: the per-n
+    tables and states held at once; each per-n cache keeps one n, until its
+    successor is built.  The lift: its eigenbasis classes (count * s^2 floats
+    each), gathers, phases and turns.  The sweep: one piece of at most 4 MiB,
+    or the timing series' 4096 B per distinct pair count, of which there are
+    about dim/11 from N = 150 on and fewer per ket as N grows.  An emitted row:
+    a tuple (40 B + 8 B per value) in a list, and per value a list slot and a
+    24 B float, or a 28 B int above 256.
     """
+    kets, slots = dimension(n), (n + 1) ** 2
+    full, rest = divmod(n + 1, _CLASS_SIZE)  # classes with s = 16, 32, ..., then one with s = n + 1
+    lift = 8 * (_CLASS_SIZE**3 * full * (full + 1) * (2 * full + 1) // 6 + rest * slots) + 224 * slots + 40 * kets
+    sweep = 16 * kets * max(3, min(_SWEEP_CHUNK, _SWEEP_PIECE // kets))
+    ints = 56 * math.comb(max(n - 255, 0), 2)  # the values above 256 in two occupation columns
+    # per ket: basis 24, amplitudes 8, pair counts 8, extremal columns 48, a state 16,
+    # a real vector 8; per row: 2 ints and a float 120, 4 floats and an int 224
+    table = {
+        "ground": lambda: {"--n": (24 + 8 + 8 + 120) * kets + ints},
+        "cat": lambda: {"--n": (24 + 8 + 8 + 48 + 16 + 8 + 120) * kets + ints + lift},
+        # the columns of n - 1 and n, 56 of temporaries as n's are built; a row and its result 264
+        "cattiness-sweep": lambda: {"--n-max": (24 + 8 + 8 + 16 + 2 * 48 + 56) * kets + 264 * (n - args.n_min + 1)},
+        # the columns' conjugate, and each ket's index into the distinct pair counts
+        "timing": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8) * kets + max(sweep, 4096 * (kets // 11))},
+        "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8) * kets + sweep, "--grid": (16 + 128) * args.grid},
+        # the readout's conjugate columns, the cat and the doubled hold; the lift's
+        # work on a block; a scan point 72 and its row of 9 floats 408
+        "fringes": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 2 * 16) * kets + lift + 3 * max(_BLOCK_BYTES, 16 * slots),
+                            "--grid": (72 + 408) * args.grid},
+    }
+    return table[args.command]()
+
+
+def _check_size(args, n: int) -> None:
+    """Refuse a setting whose ``_footprint`` times ``_SAFETY`` would exceed ``SIZE_BUDGET``.
+
+    This runs before any array work.  The refusal names the flag that sets
+    the most bytes, and rounds the estimate up to 0.001 GiB, so an excess
+    shows; an estimate too large for a float reads as inf.
+    """
+    sizes = _footprint(args, n)
+    nbytes = sum(sizes.values()) * _SAFETY[0] // _SAFETY[1]
     if nbytes > SIZE_BUDGET:
         need = -(-1000 * nbytes // 2**30) / 1000 if nbytes.bit_length() < 1000 else math.inf
-        budget = SIZE_BUDGET >> 30
-        raise ValueError(f"needs about {need:.4g} GiB, above the {budget} GiB memory budget; reduce {setting}")
-
-
-def _table_bytes(rows: int, columns: int) -> int:
-    """An emitted table of ``rows`` x ``columns`` values."""
-    return _CELL_BYTES * rows * columns
-
-
-def _lift_bytes(n: int) -> int:
-    """(n+1)^3 float64 values, a conservative bound on the Fock lift's hopping eigenbases.
-
-    The eigenbases are held in classes of 16 block sizes, each padded to its
-    own largest block: about a third of this (375 MB against 1,074 MB at
-    N = 511).  The padded figure stays the estimate, which keeps each N_max
-    where it was.
-    """
-    return 8 * (n + 1) ** 3
-
-
-def _sweep_bytes(n: int, points: int) -> int:
-    """The min(points, 2048) x dim complex128 block the hold-phase sweep is defined on.
-
-    The sweep runs a block above 4 MiB in pieces, so its buffer is at most
-    4 MiB (three rows from N = 417 on); the block stays the estimate, a
-    conservative bound that keeps each N_max where it was.
-    """
-    return 16 * min(points, _SWEEP_CHUNK) * dimension(n)
+        raise ValueError(f"needs about {need:.4g} GiB, above the {SIZE_BUDGET >> 30} GiB memory budget; "
+                         f"reduce {max(sizes, key=sizes.get)}")
 
 
 def _csv_lines(columns, rows, summary):
@@ -196,7 +195,7 @@ def _emit(args, table, summary=None) -> None:
 def cmd_ground(args) -> None:
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
-    _check_size("--n", _table_bytes(dimension(args.n), 3))
+    _check_size(args, args.n)
     probs = superfluid_ground_state(args.n).probabilities()
     _check_unit_sum(probs, "site distribution")
     occ = enumerate_basis(args.n)
@@ -206,7 +205,7 @@ def cmd_ground(args) -> None:
 def cmd_cat(args) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    _check_size("--n", max(_table_bytes(dimension(args.n), 3), _lift_bytes(args.n)))
+    _check_size(args, args.n)
     theta = args.theta * (1.0 + args.delta)
     _check_phase("--theta-pi or --delta", 0.5 * theta * (args.n * (args.n - 1)))
     r = run_protocol(args.n, theta)
@@ -227,8 +226,8 @@ def cmd_cat(args) -> None:
 def cmd_cattiness_sweep(args) -> None:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError(f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    kets = math.comb(args.n_max + 3, 3) - math.comb(args.n_min + 2, 3)  # sum of dimension(n)
-    _check_size("--n-max", _CACHED_KET_BYTES * kets)
+    _check_size(args, args.n_max)
+    _require_finite_columns(args.n_max)
     _check_phase("--theta-pi", 0.5 * args.theta * (args.n_max * (args.n_max - 1)))
     ns = np.arange(args.n_min, args.n_max + 1)
     pa, pb, pg, c = cattiness_sweep(ns, args.theta).T
@@ -241,7 +240,8 @@ def cmd_timing(args) -> None:
         raise ValueError("--n list is empty")
     for n in ns:
         _require_cat_number(n)
-    _check_size("--n", _sweep_bytes(max(ns), _SWEEP_CHUNK))
+    _check_size(args, max(ns))
+    _require_finite_columns(max(ns))
     d0 = np.array([timing_tolerance(n, args.c_target) for n in ns])
     inv = 1.0 / d0
     x = np.array(ns, dtype=np.float64)
@@ -260,8 +260,8 @@ def cmd_calibrate_u(args) -> None:
         raise ValueError(f"--grid must be >= 3, got {args.grid}")
     if not args.theta_min < args.theta_max:
         raise ValueError("--theta-min-pi must be below --theta-max-pi")
-    _check_size("--n", _sweep_bytes(args.n, args.grid))
-    _check_size("--grid", _table_bytes(args.grid, 2))
+    _check_size(args, args.n)
+    _require_finite_columns(args.n)
     widest = max(abs(args.theta_min), abs(args.theta_max))
     _check_phase("--theta-min-pi or --theta-max-pi", 0.5 * widest * (args.n * (args.n - 1)))
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
@@ -279,8 +279,7 @@ def cmd_fringes(args) -> None:
     _require_cat_number(args.n)
     if args.grid < 2 or args.xi <= 0 or args.dt <= 0:
         raise ValueError("need --grid >= 2, --xi > 0 and --dt > 0")
-    _check_size("--n", _lift_bytes(args.n))
-    _check_size("--grid", _table_bytes(args.grid, 9))
+    _check_size(args, args.n)
     _check_phase("--j, --xi or --dt", 3.0 * args.n * (abs(args.j) + args.xi) * args.dt)
     xi_values = np.linspace(0.0, args.xi, args.grid)
     scan = fringe_scan(args.n, args.j, xi_values, args.dt)

@@ -62,7 +62,7 @@ def _extremal_ranks(n: int) -> tuple[int, int, int]:
     return 0, d - n - 1, d - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def dft_mode_matrix() -> np.ndarray:
     """The 3x3 site-to-mode Fourier matrix, mode rows (alpha, beta, gamma)."""
     k = np.arange(3).reshape(3, 1)
@@ -103,7 +103,7 @@ def _givens_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _hopping_eigenbases(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Eigenvectors of T_K for K = 0..n, in classes of consecutive K.
 
@@ -132,26 +132,25 @@ def _hopping_eigenbases(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(classes), lam
 
 
-@lru_cache(maxsize=None)
 def _pair_layout(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Padded block layout of the basis for a rotation of modes p and q.
 
     Slot (K, t) of the flat (n+1)^2 layout holds the ket with K particles
     in the pair and t of them in mode q.  Returns (occ, pos): the padded
     occupations ((n+1)^2, 3), zero on empty slots, and the slot of each
-    canonical ket.
+    canonical ket.  Not cached: its callers, ``_gathers`` and
+    ``_Sweep.build``, run once per cached lift, and a one-entry cache would
+    miss on every call as they alternate between mode pairs.
     """
     basis = enumerate_basis(n)
     pair = basis[:, p] + basis[:, q]
     pos = pair * (n + 1) + basis[:, q]
     occ = np.zeros(((n + 1) ** 2, 3), dtype=np.int64)
     occ[pos] = basis
-    for a in (occ, pos):
-        a.setflags(write=False)
     return occ, pos
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _gathers(n: int) -> tuple[np.ndarray, ...]:
     """Gather indices that move a vector through the layouts of ``_PAIRS``.
 
@@ -300,13 +299,19 @@ def lift_to_fock(f: np.ndarray, n: int) -> FockLift:
     return FockLift(n, forward, adjoint)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def dft_lift(n: int) -> FockLift:
     """Cached lift of the Fourier mode matrix."""
     return lift_to_fock(dft_mode_matrix(), n)
 
 
-@lru_cache(maxsize=None)
+def _require_finite_columns(n: int) -> None:
+    """Refuse n above 1292: from n = 1293 on ``extremal_columns``' factor 3^(n/2) overflows a float."""
+    if n > 1292:
+        raise ValueError(f"particle number must be at most 1292, where 3^(n/2) still fits a float, got {n}")
+
+
+@lru_cache(maxsize=1)
 def extremal_columns(n: int) -> np.ndarray:
     """Site-basis vectors of the three n-fold mode occupations, as columns.
 
@@ -314,6 +319,7 @@ def extremal_columns(n: int) -> np.ndarray:
     have the closed form sqrt(n!/(p! q! r!)) prod_j conj(F[k, j])^(n_j),
     so no full lift is needed.
     """
+    _require_finite_columns(n)
     occ = enumerate_basis(n)
     weights = multinomial_amplitudes(n) * 3.0 ** (0.5 * n)
     fc = dft_mode_matrix().conj()

@@ -131,7 +131,7 @@ def run_protocol(n: int, theta: float = CAT_HOLD_PHASE) -> ProtocolResult:
     return ProtocolResult(n, theta, pa, pb, pg, cattiness(pa, pb, pg), final)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _sweep_inputs(n: int):
     """Per-n sweep inputs: ``ground``, ``uhalf``, ``where`` and ``wconj``.
 
@@ -181,7 +181,7 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _series_coefficients(n: int) -> np.ndarray:
     """Hold-phase series coefficients b, shape (3, len(uhalf)).
 

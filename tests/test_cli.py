@@ -1,15 +1,18 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ringcat.cli as cli
 import ringcat.protocol as protocol
-from ringcat.basis import dimension, multinomial_amplitudes
+from ringcat.basis import multinomial_amplitudes
 from ringcat.cli import main
 from ringcat.modes import FockLift, dft_lift
 from ringcat.state import NumericalHealthError, Representation, StateVector
@@ -111,17 +114,37 @@ def test_cattiness_sweep_frees_each_final_state_before_the_next_n(tmp_path, monk
     assert len(states) == 6
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_stays_within_its_budget_estimate(fmt, tmp_path):
-    out = str(tmp_path / f"g.{fmt}")
-    assert run_cli("ground", "--n", "300", "--out", out) == 0  # warms the cached basis and amplitudes
-    tracemalloc.start()
-    try:
-        assert run_cli("ground", "--n", "300", "--format", fmt, "--out", out) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < cli._table_bytes(dimension(300), 3)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ground", "--n", "150"),
+        ("ground", "--n", "150", "--format", "json"),
+        ("cat", "--n", "150"),
+        ("cattiness-sweep", "--n-min", "1", "--n-max", "150"),
+        ("timing", "--n", "150"),
+        ("calibrate-u", "--n", "150", "--grid", "2048"),
+        ("fringes", "--n", "150", "--xi", "0.05", "--grid", "4"),
+    ],
+    ids=["ground", "ground-json", "cat", "cattiness-sweep", "timing", "calibrate-u", "fringes"],
+)
+def test_each_estimate_bounds_its_peak(argv, tmp_path):
+    # the estimate counts what the command holds, so it lies between the
+    # traced peak of a run in its own process and the safety factor times
+    # that peak
+    args = cli._build_parser().parse_args(list(argv))
+    over, under = cli._SAFETY
+    estimate = sum(cli._footprint(args, 150).values()) * over // under
+    home = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys, tracemalloc; sys.path.insert(0, {home!r}); import ringcat.cli as cli; "
+        "tracemalloc.start(); code = cli.main(sys.argv[1:]); "
+        "print(code, tracemalloc.get_traced_memory()[1])"
+    )
+    child = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
+                           capture_output=True, text=True, check=True, timeout=300)
+    code, peak = map(int, child.stdout.split()[-2:])
+    assert code == 0
+    assert peak <= estimate <= peak * over / under, (peak, estimate)
 
 
 def test_timing_table_and_fit(tmp_path):
@@ -347,11 +370,11 @@ def assert_one_line_refusal(capsys, flag):
         (("calibrate-u", "--n", "3", "--grid", "1000000000000"), "--grid"),
         (("fringes", "--n", "3", "--grid", "1000000000000"), "--grid"),
         (("cat", "--n", "1" + "0" * 400), "--n"),
-        # 176 bytes over the budget: the printed figure must still read above it
-        (("calibrate-u", "--n", "3", "--grid", "2684355"), "--grid"),
+        # 36 bytes over the budget: the printed figure must still read above it
+        (("calibrate-u", "--n", "3", "--grid", "5962947"), "--grid"),
     ],
     ids=["ground", "cat", "timing", "calibrate-u", "cattiness-sweep", "fringes", "calibrate-u-grid",
-         "fringes-grid", "cat-400-digits", "calibrate-u-grid-176-bytes-over"],
+         "fringes-grid", "cat-400-digits", "calibrate-u-grid-just-over"],
 )
 def test_oversized_setting_is_refused_before_any_array_work(argv, flag, capsys):
     tracemalloc.start()
@@ -371,20 +394,22 @@ class Reached(Exception):
     """Raised by a stub standing in for a command's first array work."""
 
 
+# the commands that read out through the extremal columns stop where their
+# factor 3^(n/2) overflows a float, below their memory limits (2871, 1821, 2988)
 @pytest.mark.parametrize(
-    "argv, largest, step, stage",
+    "argv, largest, step, stage, refusal",
     [
-        (("ground", "--n"), 1890, 1, "superfluid_ground_state"),
-        (("cat", "--n"), 511, 1, "run_protocol"),
-        (("cattiness-sweep", "--n-min", "1", "--n-max"), 416, 1, "cattiness_sweep"),
-        (("timing", "--n"), 252, 3, "timing_tolerance"),
-        (("calibrate-u", "--grid", "2048", "--n"), 252, 3, "_calibrate_on_grid"),
-        (("calibrate-u", "--n"), 1050, 3, "_calibrate_on_grid"),
-        (("fringes", "--n"), 510, 3, "fringe_scan"),
+        (("ground", "--n"), 2883, 1, "superfluid_ground_state", "memory budget"),
+        (("cat", "--n"), 634, 1, "run_protocol", "memory budget"),
+        (("cattiness-sweep", "--n-min", "1", "--n-max"), 1292, 1, "cattiness_sweep", "3^(n/2)"),
+        (("timing", "--n"), 1290, 3, "timing_tolerance", "3^(n/2)"),
+        (("calibrate-u", "--grid", "2048", "--n"), 1290, 3, "_calibrate_on_grid", "3^(n/2)"),
+        (("calibrate-u", "--n"), 1290, 3, "_calibrate_on_grid", "3^(n/2)"),
+        (("fringes", "--n"), 633, 3, "fringe_scan", "memory budget"),
     ],
     ids=["ground", "cat", "cattiness-sweep", "timing", "calibrate-u-2048", "calibrate-u-121", "fringes"],
 )
-def test_size_budget_sets_each_commands_largest_n(argv, largest, step, stage, monkeypatch, capsys):
+def test_size_budget_sets_each_commands_largest_n(argv, largest, step, stage, refusal, monkeypatch, capsys):
     def reached(*args, **kwargs):
         raise Reached
 
@@ -392,7 +417,7 @@ def test_size_budget_sets_each_commands_largest_n(argv, largest, step, stage, mo
     with pytest.raises(Reached):
         run_cli(*argv, str(largest))
     assert run_cli(*argv, str(largest + step)) == 2
-    assert "memory budget" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
 
 
 def assert_refused_at_parse(capsys, *argv):

@@ -190,6 +190,12 @@ def test_extremal_columns_are_normalized_kets():
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
 
+def test_extremal_columns_refuse_n_where_their_weight_overflows():
+    # the closed form scales by 3^(n/2), which overflows a float from n = 1293 on
+    with pytest.raises(ValueError, match="at most 1292"):
+        extremal_columns(1293)
+
+
 def test_resonant_momentum_distribution_is_three_point():
     held = evolve_interaction_phase(superfluid_ground_state(3), 2.0 * math.pi / 3.0)
     dist = momentum_distribution(held)

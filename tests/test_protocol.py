@@ -4,10 +4,12 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from exact_series import cat_probabilities
 
 import ringcat.basis as basis
 import ringcat.modes as modes
@@ -70,6 +72,16 @@ def test_off_multiple_run_matches_brute_force():
     assert r.p_alpha == pytest.approx(1.0 / 27.0, abs=1e-13)
     assert r.p_beta < 1e-15 and r.p_gamma < 1e-15
     assert r.cattiness < 1e-10
+
+
+def test_cat_hold_matches_the_exact_rationals():
+    # the oracle sums the same amplitudes in integers over Z[omega]
+    for n in range(1, 61):
+        exact = cat_probabilities(n)
+        r = run_protocol(n)
+        assert np.allclose((r.p_alpha, r.p_beta, r.p_gamma), [float(p) for p in exact], rtol=0, atol=1e-13), n
+        # the even three-branch cat, P_k = 1/3 each, exactly when 3 divides n
+        assert (exact == (Fraction(1, 3),) * 3) == (n % 3 == 0), n
 
 
 def test_run_protocol_matches_brute_force_generic_phase():
@@ -295,13 +307,15 @@ def arrays_in(result):
 
 def test_cached_per_n_arrays_are_read_only():
     # a write through any of them would corrupt every later call for that n;
-    # n = 33 puts the lift's eigenbases in three classes
+    # n = 33 puts the lift's eigenbases in three classes.  Each cache is
+    # bounded, so a run over many n holds a bounded number of them
     values = {"n": 33, "p": 0, "q": 1}
     checked = {}
     for module in (basis, modes, protocol):
         for name, func in vars(module).items():
             if not hasattr(func, "cache_info") or func.__module__ != module.__name__:
                 continue
+            assert func.cache_info().maxsize is not None, f"{name} keeps every n it sees"
             result = func(*(values[p] for p in inspect.signature(func).parameters))
             for a in arrays_in(result):
                 assert not a.flags.writeable, name
