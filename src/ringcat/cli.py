@@ -35,11 +35,11 @@ from .interferometer import _BLOCK_BYTES, fringe_scan
 from .modes import _CLASS_SIZE, _require_finite_columns, momentum_distribution
 from .protocol import (
     _SWEEP_CHUNK,
-    _SWEEP_PIECE,
     CAT_HOLD_PHASE,
     PhysicsError,
     _calibrate_on_grid,
     _require_cat_number,
+    _sweep_buffer_rows,
     cattiness_sweep,
     run_protocol,
     timing_tolerance,
@@ -115,16 +115,16 @@ def _footprint(args, n: int) -> dict[str, int]:
     Each term is closed-form, a Python int for any n.  Per ket: the per-n
     tables and states held at once; each per-n cache keeps one n, until its
     successor is built.  The lift: its eigenbasis classes (count * s^2 floats
-    each), gathers, phases and turns.  The sweep: one piece of at most 4 MiB,
-    or the timing series' 4096 B per distinct pair count, of which there are
-    about dim/11 from N = 150 on and fewer per ket as N grows.  An emitted row:
+    each), gathers, phases and turns.  The sweep: the largest piece its split
+    makes of the command's grid (for ``timing``, the fallback's 2048-row
+    chunks), or the timing series' 4096 B per distinct pair count, of which
+    there are about dim/11 from N = 150 on and fewer per ket as N grows.  An emitted row:
     a tuple (40 B + 8 B per value) in a list, and per value a list slot and a
     24 B float, or a 28 B int above 256.
     """
     kets, slots = dimension(n), (n + 1) ** 2
     full, rest = divmod(n + 1, _CLASS_SIZE)  # classes with s = 16, 32, ..., then one with s = n + 1
     lift = 8 * (_CLASS_SIZE**3 * full * (full + 1) * (2 * full + 1) // 6 + rest * slots) + 224 * slots + 40 * kets
-    sweep = 16 * kets * max(3, min(_SWEEP_CHUNK, _SWEEP_PIECE // kets))
     ints = 56 * math.comb(max(n - 255, 0), 2)  # the values above 256 in two occupation columns
     # per ket: basis 24, amplitudes 8, pair counts 8, extremal columns 48, a state 16,
     # a real vector 8; per row: 2 ints and a float 120, 4 floats and an int 224
@@ -134,8 +134,11 @@ def _footprint(args, n: int) -> dict[str, int]:
         # the columns of n - 1 and n, 56 of temporaries as n's are built; a row and its result 264
         "cattiness-sweep": lambda: {"--n-max": (24 + 8 + 8 + 16 + 2 * 48 + 56) * kets + 264 * (n - args.n_min + 1)},
         # the columns' conjugate, and each ket's index into the distinct pair counts
-        "timing": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8) * kets + max(sweep, 4096 * (kets // 11))},
-        "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8) * kets + sweep, "--grid": (16 + 128) * args.grid},
+        # a piece's 16 B per ket per row
+        "timing": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8) * kets
+                           + max(16 * kets * _sweep_buffer_rows(_SWEEP_CHUNK, kets), 4096 * (kets // 11))},
+        "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8 + 16 * _sweep_buffer_rows(args.grid, kets)) * kets,
+                                "--grid": (16 + 128) * args.grid},
         # the readout's conjugate columns, the cat and the doubled hold; the lift's
         # work on a block; a scan point 72 and its row of 9 floats 408
         "fringes": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 2 * 16) * kets + lift + 3 * max(_BLOCK_BYTES, 16 * slots),

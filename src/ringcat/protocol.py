@@ -44,15 +44,26 @@ __all__ = [
 CAT_HOLD_PHASE = 2.0 * math.pi / 3.0
 
 # Theta points per block of the sweep.  The answer is defined on these blocks,
-# tail included, since the row count of the ``@ wconj`` zgemm sets its bits (exp,
-# take and *= ground are elementwise).  Measured for N = 1..99, 120, 150, 180 and
-# 2-1536 rows (SkylakeX core, 2 threads), rows differ from the 2048-row product
-# only in calls of at most 77,616 values (N = 97, 16 rows) and in one-row calls
-# (zgemv).  So a block over _SWEEP_PIECE values (4 MiB) runs as near-equal pieces
-# of at most max(3, _SWEEP_PIECE // dim) rows: about 2^17 values or more, never
-# one row.  The one phase buffer holds one piece.
+# tail included, and on the pieces each block runs as below, since the row count
+# of the ``@ wconj`` zgemm sets its bits (exp, take and *= ground are
+# elementwise).  With OpenBLAS on two threads (SkylakeX core), a call of at least
+# 17 rows and more than 2^16 multiply-adds runs on both threads and a smaller one
+# on one, and the two round differently at N = 35 and above (not at N = 30); a
+# one-row call (zgemv) differs at every N.  So a split keeps the bits when each
+# row's piece falls on the same side of that line.  The split:
+# - near-equal pieces of at most sub = max(3, 2 * _SWEEP_LEAST // dim) rows
+#   (4 MiB), ceil(rows / sub) of them, so never one row;
+# - or, where sub >= 33 (dim <= 7943, N <= 124), fewer rows with the same bits:
+#   rows // least near-equal pieces of at least least = ceil(_SWEEP_LEAST / dim)
+#   rows, 17 or more, so fewer than 2 * least, and a block shorter than least
+#   stays whole.  With sub >= 33 a block is one call under both rules, or
+#   every piece under both has 17 rows or more and about 3 * 2^17
+#   multiply-adds or more, and runs on both threads.  Above N = 124 the floor
+#   would cut some of the cap rule's pieces of 17 rows or more down to 16 or
+#   fewer: at N = 150 on a 2051-point grid that moved one row's bits.
+# The one phase buffer holds the largest piece of the grid.
 _SWEEP_CHUNK = 2048
-_SWEEP_PIECE = 1 << 18
+_SWEEP_LEAST = 1 << 17
 
 # Timing-tolerance scan: grid step 1e-4/n in delta, and the largest delta scanned.
 _TIMING_STEP = 1e-4
@@ -146,12 +157,34 @@ def _sweep_inputs(n: int):
     return ground, uhalf, where, wconj
 
 
+def _sweep_pieces(rows: int, dim: int) -> int:
+    """How many near-equal pieces a sweep block of ``rows`` points runs as at basis dimension ``dim``.
+
+    Up to N = 124, as many pieces of at least ceil(2^17 / dim) rows as fit,
+    and one for a block shorter than that; above, the fewest pieces of at
+    most max(3, 2^18 // dim) rows (see ``_SWEEP_CHUNK``).
+    """
+    sub = max(3, 2 * _SWEEP_LEAST // dim)
+    if sub >= 33:  # then the cap's pieces of a split block have 17 rows or more
+        return max(1, rows // -(-_SWEEP_LEAST // dim))
+    return -(-rows // sub)
+
+
+def _sweep_buffer_rows(points: int, dim: int) -> int:
+    """Rows of the largest piece a sweep over ``points`` hold phases runs, at basis dimension ``dim``.
+
+    The grid's blocks are whole 2048-row ones and a shorter tail, and a
+    block's largest piece is ceil(rows / pieces).
+    """
+    blocks = {min(points, _SWEEP_CHUNK), points % _SWEEP_CHUNK} - {0}
+    return max((-(-rows // _sweep_pieces(rows, dim)) for rows in blocks), default=0)
+
+
 def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     """Mode-condensate probabilities (len(thetas), 3) over a hold-phase grid.
 
-    Each grid point is an independent pure computation, so callers may fan
-    points out to workers freely; this vectorized path exists because the
-    tolerance and calibration searches evaluate thousands of them.
+    This vectorized path exists because the tolerance and calibration
+    searches evaluate thousands of grid points.
 
     The hold multiplies each ket by exp(-1j*theta*m/2), with m its pair
     count, and m takes few distinct values (64 at n = 30, 437 at n = 90,
@@ -159,19 +192,19 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     values only and the result is gathered onto the kets; equal arguments
     give equal bits, so this matches a per-ket ``exp`` exactly.
 
-    The answer is defined on 2048-row blocks; a block over 4 MiB runs in
-    pieces that keep its bits (see ``_SWEEP_CHUNK``).
+    The answer is defined on 2048-row blocks and the near-equal pieces each
+    runs as, which keep its bits (see ``_SWEEP_CHUNK``), through one buffer
+    that holds the largest piece: 32 or 33 rows at n = 90, about 2.1 MiB.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
     ground, uhalf, where, wconj = _sweep_inputs(n)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty((thetas.size, 3), dtype=np.float64)
-    sub = max(3, _SWEEP_PIECE // where.size)
-    buf = np.empty((min(thetas.size, _SWEEP_CHUNK, sub), where.size), dtype=np.complex128)
+    buf = np.empty((_sweep_buffer_rows(thetas.size, where.size), where.size), dtype=np.complex128)
     for lo in range(0, thetas.size, _SWEEP_CHUNK):
         block = np.arange(lo, min(lo + _SWEEP_CHUNK, thetas.size))
-        for rows in np.array_split(block, -(-block.size // sub)):
+        for rows in np.array_split(block, _sweep_pieces(block.size, where.size)):
             uph = np.exp(np.multiply(-1j, np.outer(thetas[rows], uhalf)))
             # mode="clip" lets take write straight into the buffer; "raise" would copy
             phases = np.take(uph, where, axis=1, out=buf[: rows.size], mode="clip")
@@ -382,8 +415,8 @@ def calibrate_u(n: int, theta_samples) -> float:
     interaction strength, since the peak sharpens like 1/n.  The peak is
     flat-topped, so a search on values resolves it only to a few 1e-9.
     Raises ``PhysicsError`` unless n is a positive multiple of 3, and its
-    subclass ``BracketError`` when the best sample has no strictly lower,
-    distinct neighbour on each side.
+    subclass ``BracketError`` when the samples around the best one form no
+    strict bracket (see ``_golden_maximum``).
     """
     return _calibrate_on_grid(n, theta_samples)[0]
 
@@ -398,7 +431,7 @@ def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, float, np.ndarray]
     best = int(np.argmax(values))
     if best == 0 or best == thetas.size - 1:
         raise BracketError("scan maximum sits on the bracket edge; no interior peak")
-    star, c_star = _golden_maximum(lambda t: cattiness_curve(n, np.array([t]))[0], *thetas[best - 1 : best + 2])
+    star, c_star = _golden_maximum(lambda t: cattiness_curve(n, np.array([t]))[0], thetas, best)
     return float(star), float(c_star), values
 
 
@@ -407,19 +440,30 @@ def _calibrate_on_grid(n: int, theta_samples) -> tuple[float, float, np.ndarray]
 _GOLDEN = 0.61803399
 
 
-def _golden_maximum(f, xa, xb, xc):
-    """Golden-section search for the maximum of ``f`` bracketed by xa < xb < xc.
+def _golden_maximum(f, samples, best):
+    """Golden-section search for the maximum of ``f`` around ``samples[best]``.
 
-    Returns the point it picks and f there.  A port of the standard bracketed
+    Returns the point it picks and f there.  The bracket is xa < xb < xc, the
+    sorted samples best - 1, best and best + 1.  Where f at a neighbour is not
+    below f at xb, that side widens to the next sample, once: two samples set
+    symmetrically about the flat peak get values that differ by rounding only,
+    and a one-point f may order them unlike the grid's.  The bracket must then
+    be strict: f(xb) above both f(xa) and f(xc).  A port of the standard bracketed
     golden section, run on -f with a relative tolerance of 1e-12: the same
     constant, update order, stopping test, 5000-step bound and final pick, so
-    it picks the same bits as the library routine (the protocol tests check
-    this exactly), with one f call per point.  The bracket must be strict:
-    f(xb) above both f(xa) and f(xc).
+    it picks the same bits as the library routine on the same bracket (the
+    protocol tests check this exactly), with one f call per point.
     """
+    xa, xb, xc = samples[best - 1 : best + 2]
     if not xa < xb < xc:
         raise BracketError(f"scan samples {xa}, {xb}, {xc} around the maximum are not distinct")
     fa, fb, fc = f(xa), f(xb), f(xc)
+    if fa >= fb and best >= 2:
+        xa = samples[best - 2]
+        fa = f(xa)
+    if fc >= fb and best + 2 < len(samples):
+        xc = samples[best + 2]
+        fc = f(xc)
     if not (fb > fa and fb > fc):
         raise BracketError("scan maximum is not strictly above both neighbours; no interior peak")
     gc = 1.0 - _GOLDEN

@@ -171,6 +171,17 @@ def test_calibrate_summary(tmp_path):
     assert len(payload["rows"]) == 41
 
 
+@pytest.mark.parametrize("grid", [1000, 8000, 12000, 20000])
+def test_calibrate_brackets_two_samples_tied_about_the_peak(grid, tmp_path):
+    # an even grid on the default bracket sets two samples symmetrically about
+    # 2*pi/3, whose values differ by rounding only; the golden section's
+    # one-point values rank them unlike the grid's, so a side widens
+    out = tmp_path / "cal.csv"
+    assert run_cli("calibrate-u", "--n", "30", "--grid", str(grid), "--out", str(out)) == 0
+    _, _, footer = read_csv(out)
+    assert footer["theta_star"] == pytest.approx(2.0 * math.pi / 3.0, abs=1e-6)
+
+
 def test_calibrate_sweeps_the_grid_once(tmp_path, monkeypatch):
     sizes = []
     points = []

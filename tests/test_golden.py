@@ -92,8 +92,11 @@ def openblas_core() -> str:
 def openblas_threads() -> str:
     """OpenBLAS's thread count, or "" if it cannot be read.
 
-    The sweep's zgemm rounds according to how OpenBLAS splits it across
-    threads, so OPENBLAS_NUM_THREADS=1 moves last bits on a 2-thread machine.
+    Two stages round according to it, so OPENBLAS_NUM_THREADS=1 moves last
+    bits on a 2-thread machine.  The sweep's zgemm: a call runs on one
+    thread or on both by its size.  And the lift's ``eigh`` eigenbases: under
+    one thread they are bit-identical for K <= 200, but 44 of K = 201..300
+    differ, the first at K = 201.
     """
     threads = openblas_query("scipy_openblas_get_num_threads64_", ctypes.c_int)
     return "" if threads is None else str(threads)

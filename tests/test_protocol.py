@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import subprocess
 import sys
@@ -401,7 +402,15 @@ def test_sweep_matches_single_runs():
         assert np.allclose(row, (r.p_alpha, r.p_beta, r.p_gamma), atol=1e-13)
 
 
-PIECE_BYTES = 4 * 2**20  # the most one piece of a sweep block may hold
+def largest_piece_bytes(n, *blocks):
+    """Bytes of the largest piece the floor rule makes of blocks of these row counts.
+
+    A block of B rows runs as B // least near-equal pieces of at least
+    least = ceil(2^17 / dim) rows each (N <= 124).
+    """
+    dim = dimension(n)
+    least = -(-(1 << 17) // dim)
+    return 16 * dim * max(-(-rows // (rows // least)) for rows in blocks)
 
 
 def traced_peak(func, *args):
@@ -415,20 +424,56 @@ def traced_peak(func, *args):
 
 
 def test_sweep_reuses_one_chunk_buffer():
-    # the buffer holds one piece of a 2048-row block (62 MB at n = 60 and
-    # 137 MB at n = 90 for a whole block), plus a small per-piece exp table
+    # the buffer holds one piece of a 2048-row block (2.1 MB at n = 60 and
+    # n = 90, against 62 and 137 MB for a whole block), plus a small
+    # per-piece exp table
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * protocol._SWEEP_CHUNK)
     for n in (60, 90):
         sweep_protocol_probabilities(n, thetas[:1])  # cache the per-n inputs outside the trace
+        piece = largest_piece_bytes(n, 2048)
         peak = traced_peak(sweep_protocol_probabilities, n, thetas)
-        assert peak < 1.3 * PIECE_BYTES, f"n={n}: peak {peak / PIECE_BYTES:.2f} pieces"
+        assert peak < 1.3 * piece, f"n={n}: peak {peak / piece:.2f} pieces"
 
 
 def test_calibration_grid_sweep_peaks_near_one_piece():
     thetas = np.linspace(0.6 * math.pi, 0.73 * math.pi, 4001)
     sweep_protocol_probabilities(90, thetas[:1])
+    piece = largest_piece_bytes(90, 2048, 4001 - 2048)
     peak = traced_peak(protocol._calibrate_on_grid, 90, thetas)
-    assert peak < 1.3 * PIECE_BYTES, f"peak {peak / PIECE_BYTES:.2f} pieces"
+    assert peak < 1.3 * piece, f"peak {peak / piece:.2f} pieces"
+
+
+def test_sweep_pieces_keep_to_the_floor_or_the_cap():
+    # every basis dimension up to N = 1292's, the largest the sweep commands
+    # accept, and every block of 1 to 2048 rows.  A split depends on dim only
+    # through least = ceil(2^17 / dim) (floor rule, while sub >= 33) or
+    # sub = max(3, 2^18 // dim) (cap rule), so each class of dims is checked
+    # at both of its ends.
+    dims = np.arange(1, dimension(1292) + 1)
+    least = -(-(1 << 17) // dims)
+    sub = np.maximum(3, (1 << 18) // dims)
+    rule = np.where(sub >= 33, least, -sub)
+    change = np.flatnonzero(np.diff(rule))
+    ends = np.unique(np.concatenate([[0, dims.size - 1], change, change + 1]))
+    rows = np.arange(1, protocol._SWEEP_CHUNK + 1)
+    for i in ends:
+        dim, lo, cap = int(dims[i]), int(least[i]), int(sub[i])
+        pieces = np.fromiter(map(protocol._sweep_pieces, rows.tolist(), itertools.repeat(dim)), np.int64, rows.size)
+        # np.array_split then covers the block in order, with no empty piece
+        assert np.all((pieces >= 1) & (pieces <= rows)), dim
+        smallest, largest = rows // pieces, -(-rows // pieces)
+        if cap >= 33:
+            whole = rows < lo
+            assert np.all(pieces[whole] == 1), dim
+            assert np.all(smallest[~whole] >= lo) and lo >= 17 and lo * dim >= 1 << 17, dim
+            assert np.all(largest < 2 * lo), dim
+        else:
+            assert np.all(pieces == -(-rows // cap)) and np.all(largest <= cap), dim
+            assert np.all(smallest[1:] >= 2), dim
+        for points in {0, 1, 2, lo - 1, lo, 2 * lo + 1, 2047, 2048, 2049, 2048 + lo, 4096, 6001}:
+            blocks = [min(points, 2048), points % 2048]
+            expected = max((int(largest[b - 1]) for b in blocks if b), default=0)
+            assert protocol._sweep_buffer_rows(points, dim) == expected, (dim, points)
 
 
 def per_ket_exp_sweeps(n, thetas, sizes):
@@ -458,22 +503,43 @@ def per_ket_exp_sweeps(n, thetas, sizes):
 
 
 def piece_edge_sizes(n):
-    """Grid sizes whose tail block holds one piece's rows, and one row more."""
-    sub = protocol._SWEEP_PIECE // dimension(n)
-    return protocol._SWEEP_CHUNK + sub, protocol._SWEEP_CHUNK + sub + 1
+    """Grid sizes about the floor: a block of least - 1 to 2 * least + 1 rows, and a tail of least and one row either side.
+
+    At N = 90 and 97 a cap of 2^17 values would split some of these blocks
+    into pieces of 16 rows or fewer, which run on one thread.
+    """
+    least = -(-(1 << 17) // dimension(n))
+    return tuple(range(least - 1, 2 * least + 2)) + tuple(2048 + least + d for d in (-1, 0, 1))
 
 
 @pytest.mark.parametrize(
     "n, sizes",
     [(n, (0, 1, 2, 17, 2048, 2049, 4001)) for n in (1, 2, 3, 30)]
-    + [(n, (0, 1, 2, 17, 31, 32, 33, 2047, 2048, 2049, 4001) + piece_edge_sizes(n)) for n in (60, 90, 45)],
+    + [(n, (0, 1, 2, 17, 31, 32, 33, 2047, 2048, 2049, 4001) + piece_edge_sizes(n)) for n in (60, 90, 45, 97)],
 )
 def test_distinct_pair_count_exp_keeps_every_bit(n, sizes):
     # each block's product keeps the bits of the whole 2048-row block, at
-    # every size and on both sides of the tail that runs as one piece
+    # every size and on both sides of the floor
     thetas = np.linspace(0.1, 2.0 * math.pi + 0.3, 4001)
     for size, expected in per_ket_exp_sweeps(n, thetas, sizes):
         assert np.array_equal(sweep_protocol_probabilities(n, thetas[:size]), expected), size
+
+
+def test_sweep_keeps_the_cap_rule_above_n_124():
+    # a floor of 2^17 values would run N = 150's blocks as pieces of 12 and
+    # 13 rows, below the 17 rows from which OpenBLAS's zgemm runs on two
+    # threads, as the whole block does; on this grid that moves row 1965.  Any
+    # call of 17 rows or more rounds like the whole block, so the block's last
+    # 148 rows stand in for its 2048.
+    from ringcat.basis import multinomial_amplitudes, pair_counts
+    from ringcat.modes import extremal_columns
+
+    n, rows = 150, slice(1900, 2048)
+    thetas = np.linspace(0.1, 2.0 * math.pi + 0.3, 2051)
+    phases = np.exp(np.multiply(-1j, np.outer(thetas[rows], 0.5 * pair_counts(n).astype(np.float64))))
+    phases *= multinomial_amplitudes(n)
+    expected = np.abs(phases @ np.ascontiguousarray(extremal_columns(n).conj())) ** 2
+    assert np.array_equal(sweep_protocol_probabilities(n, thetas)[rows], expected)
 
 
 def test_sweep_exponentiates_distinct_pair_counts_only():
