@@ -7,6 +7,17 @@ quench-and-hold protocols that create three-branch flow superpositions, and
 the three-port interferometer they enable.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it, so it is set before the
+# first import below.  By default its idle worker spins for 2^28 cycles
+# (~0.1 s) after start-up and after each threaded call: on a 2-vCPU Xeon that
+# was 0.12-0.18 s of CPU in each short CLI run, and a spinning worker sharing
+# a vCPU with the main thread stalled small `eigh` calls by up to 0.1 s.
+# At 4, the minimum (2^4 cycles), it sleeps instead.  The thread count and
+# how each call is split do not change, so no output bit does.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .basis import (
     dimension,
     enumerate_basis,

@@ -11,8 +11,8 @@ violated (for example a particle number that is not a multiple of three
 where the protocol requires one), 4 numerical health check failed (a
 state norm or a probability sum drifted from 1 beyond its tolerance).
 Malformed flags, including non-finite or zero-denominator angles, are
-refused by the argument parser with exit code 2, and settings whose largest
-phase overflows a float are refused with exit code 2 before any work.
+refused by the argument parser with exit code 2; so, before any work, are
+settings whose largest phase overflows a float or exceeds ``_PHASE_CAP``.
 
 So are settings whose estimated peak memory exceeds ``SIZE_BUDGET`` (1 GiB):
 each command sums, in closed form and before any array work, the arrays it
@@ -49,6 +49,11 @@ from .state import NumericalHealthError, superfluid_ground_state
 __all__ = ["main"]
 
 SUM_TOL = 1e-10
+# Absolute tolerance of a probability against float phase rounding.  A phase
+# phi is off by up to eps*phi, which moves a unit-norm amplitude by at most
+# eps*phi_max and a probability by at most 2*eps*phi_max: so the cap, ~2.25e6 rad.
+PHASE_TOL = 1e-9
+_PHASE_CAP = PHASE_TOL / (2 * sys.float_info.epsilon)
 
 # Memory a command may hold at its peak; see _check_size.
 SIZE_BUDGET = 1 << 30
@@ -104,9 +109,12 @@ def _check_unit_sum(values, label: str) -> None:
 
 
 def _check_phase(setting: str, phase: float) -> None:
-    """Refuse a setting whose largest phase argument overflows a float."""
+    """Refuse a setting whose largest phase argument overflows a float, or exceeds ``_PHASE_CAP``."""
     if not math.isfinite(phase):
         raise ValueError(f"largest phase overflows a float; reduce {setting}")
+    if abs(phase) > _PHASE_CAP:
+        raise ValueError(f"largest phase {abs(phase):.3g} rad is above {_PHASE_CAP:.3g}, past which a probability "
+                         f"may drift by more than {PHASE_TOL:g}; reduce {setting}")
 
 
 def _footprint(args, n: int) -> dict[str, int]:
@@ -215,14 +223,8 @@ def cmd_cat(args) -> None:
     dist = momentum_distribution(r.state)
     _check_unit_sum(dist, "momentum distribution")
     occ = enumerate_basis(args.n)
-    summary = {
-        "n": args.n,
-        "theta": theta,
-        "p_alpha": r.p_alpha,
-        "p_beta": r.p_beta,
-        "p_gamma": r.p_gamma,
-        "cattiness": r.cattiness,
-    }
+    summary = {"n": args.n, "theta": theta, "p_alpha": r.p_alpha, "p_beta": r.p_beta, "p_gamma": r.p_gamma,
+               "cattiness": r.cattiness}
     _emit(args, {"n_alpha": occ[:, 0], "n_beta": occ[:, 1], "p": dist}, summary)
 
 
@@ -249,11 +251,7 @@ def cmd_timing(args) -> None:
     inv = 1.0 / d0
     x = np.array(ns, dtype=np.float64)
     slope = float(np.sum(x * inv) / np.sum(x * x))
-    summary = {
-        "c_target": args.c_target,
-        "fit_slope_inv_delta0_vs_n": slope,
-        "fit_prefactor": 1.0 / slope,
-    }
+    summary = {"c_target": args.c_target, "fit_slope_inv_delta0_vs_n": slope, "fit_prefactor": 1.0 / slope}
     _emit(args, {"n": np.array(ns), "delta0": d0, "inv_delta0": inv, "n_delta0": x * d0}, summary)
 
 
@@ -269,12 +267,7 @@ def cmd_calibrate_u(args) -> None:
     _check_phase("--theta-min-pi or --theta-max-pi", 0.5 * widest * (args.n * (args.n - 1)))
     thetas = np.linspace(args.theta_min, args.theta_max, args.grid)
     star, c_star, values = _calibrate_on_grid(args.n, thetas)
-    summary = {
-        "n": args.n,
-        "theta_star": star,
-        "theta_star_pi": star / math.pi,
-        "c_star": c_star,
-    }
+    summary = {"n": args.n, "theta_star": star, "theta_star_pi": star / math.pi, "c_star": c_star}
     _emit(args, {"theta": thetas, "cattiness": values}, summary)
 
 

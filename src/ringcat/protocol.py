@@ -205,7 +205,11 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     for lo in range(0, thetas.size, _SWEEP_CHUNK):
         block = np.arange(lo, min(lo + _SWEEP_CHUNK, thetas.size))
         for rows in np.array_split(block, _sweep_pieces(block.size, where.size)):
-            uph = np.exp(np.multiply(-1j, np.outer(thetas[rows], uhalf)))
+            # one exp table per piece, formed in place: the outer product fills
+            # the real parts, so -1j multiplies x + 0j, as it does a real x
+            uph = np.zeros((rows.size, uhalf.size), dtype=np.complex128)
+            np.outer(thetas[rows], uhalf, out=uph.real)
+            np.exp(np.multiply(-1j, uph, out=uph), out=uph)
             # mode="clip" lets take write straight into the buffer; "raise" would copy
             phases = np.take(uph, where, axis=1, out=buf[: rows.size], mode="clip")
             del uph  # not held through the matmul, to keep the peak at one buffer

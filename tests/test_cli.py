@@ -361,6 +361,25 @@ def test_overflowing_phase_is_refused(argv, flag, capsys):
     assert_one_line_refusal(capsys, flag)
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("fringes", "--n", "3", "--j", "1e300", "--grid", "3"), "--j"),
+        (("cat", "--n", "30", "--theta-pi", "1e15"), "--theta-pi"),
+        (("cat", "--n", "30", "--theta-pi=-1e15"), "--theta-pi"),
+        # 2.61e6 rad, where the default bracket's 2.18e6 is accepted
+        (("calibrate-u", "--n", "1290", "--theta-max-pi", "1"), "--theta-max-pi"),
+    ],
+    ids=["fringes-j", "cat-theta", "cat-negative-theta", "calibrate-u"],
+)
+def test_phase_past_the_precision_cap_is_refused(argv, flag, capsys):
+    # finite, but float rounding of the phase alone could move a probability
+    # by more than PHASE_TOL
+    assert run_cli(*argv) == 2
+    line = assert_one_line_refusal(capsys, flag)
+    assert f"may drift by more than {cli.PHASE_TOL:g}" in line, line
+
+
 def assert_one_line_refusal(capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""

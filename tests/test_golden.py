@@ -96,7 +96,9 @@ def openblas_threads() -> str:
     bits on a 2-thread machine.  The sweep's zgemm: a call runs on one
     thread or on both by its size.  And the lift's ``eigh`` eigenbases: under
     one thread they are bit-identical for K <= 200, but 44 of K = 201..300
-    differ, the first at K = 201.
+    differ, the first at K = 201.  OpenBLAS's idle-spin timeout
+    (OPENBLAS_THREAD_TIMEOUT, which ``import ringcat`` sets to 4) moves no
+    byte: it changes how long an idle worker spins, not how a call is split.
     """
     threads = openblas_query("scipy_openblas_get_num_threads64_", ctypes.c_int)
     return "" if threads is None else str(threads)
@@ -172,27 +174,45 @@ def test_cli_output_matches_the_golden_record():
             assert expected["sha256"] == want["sha256"], f"stdout bytes moved: {command}"
 
 
+def run_child(code: str, env: dict) -> subprocess.CompletedProcess:
+    """``python -c code`` in this directory, with ``src`` on its path and ``env`` over this process's."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=GOLDEN.parent, text=True, timeout=300,
+                          env={**env, "PYTHONPATH": path}, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+
+
 def test_golden_numbers_hold_under_forced_kernels():
     """Other SIMD kernels round some last bits differently, but every number stays in tolerance.
 
     The record runs in one child process under OpenBLAS's Haswell kernels
     and, on a machine with X86_V4, in another with numpy's X86_V4 dispatch
-    disabled.  Each variable is set on its child only, so the child's
+    disabled: each variable is set on its child only, so that child's
     machine facts differ from the record's and it compares the numbers.
-    The children run one after the other: two at once contend for the
-    BLAS threads and take several times as long.
+    One more child runs under OPENBLAS_THREAD_TIMEOUT=4, the package's
+    setting, which this process (numpy loaded before ringcat) lacks; its
+    facts equal the record's, so on the machine of record it compares the
+    bytes too.  The children run one after the other: two at once contend
+    for the BLAS threads and take several times as long.
     """
-    forced = [{"OPENBLAS_CORETYPE": "Haswell"}]
+    forced = [{"OPENBLAS_THREAD_TIMEOUT": "4"}, {"OPENBLAS_CORETYPE": "Haswell"}]
     if "X86_V4" in machine_facts()["simd"].split():
         forced.append({"NPY_DISABLE_CPU_FEATURES": "X86_V4"})
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import test_golden; test_golden.test_cli_output_matches_the_golden_record()"
     for env in forced:
-        child = subprocess.run([sys.executable, "-c", code], cwd=GOLDEN.parent, text=True, timeout=300,
-                               env={**os.environ, **env, "PYTHONPATH": path},
-                               stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        child = run_child(code, {**os.environ, **env})
         assert child.returncode == 0, (env, child.stdout[-4000:])
+
+
+def test_import_sets_the_openblas_thread_timeout_unless_preset():
+    """``import ringcat`` before numpy leaves OpenBLAS's idle worker a 2^4-cycle spin; a preset value is kept."""
+    code = ("import ringcat, ctypes, test_golden; "
+            "print(test_golden.openblas_query('openblas_thread_timeout', ctypes.c_int))")
+    unset = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    for preset, expected in ((None, "4"), ("28", "28")):
+        child = run_child(code, unset if preset is None else {**unset, "OPENBLAS_THREAD_TIMEOUT": preset})
+        assert child.returncode == 0, child.stdout[-4000:]
+        assert child.stdout.split() == [expected], child.stdout
 
 
 if __name__ == "__main__":
