@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -522,3 +523,75 @@ def test_cat_thirty_particles(tmp_path):
     big = [row for row in rows if row[2] > 1e-10]
     assert len(big) == 3 and all(r[2] == pytest.approx(1 / 3, abs=1e-12) for r in big)
     assert footer["cattiness"] == pytest.approx(1.0, abs=1e-10)
+
+
+WRITER_TABLES = {
+    "every-kind": (
+        {"n": np.array([0, 1, -3, 2**40, 7]),
+         "x": np.array([0.1, math.nan, math.inf, -math.inf, 2.0]),
+         "y": np.array([-0.0, 1e-300, 1 / 3, 5e-324, -1.5e300])},
+        {"n": 3, "theta": 2.0943951023931953, "c": math.nan},
+    ),
+    "finite": ({"k": np.arange(3), "p": np.array([0.25, 0.5, 0.25])}, None),
+    "empty": ({"n": np.array([], dtype=np.int64), "p": np.array([])}, {"n": 0}),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITER_TABLES))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_matches_json_and_the_csv_lines(name, fmt, capsys):
+    # the row templates give the text of json's own encoder and of _fmt per value
+    table, summary = WRITER_TABLES[name]
+    rows = [list(row) for row in zip(*(column.tolist() for column in table.values()))]
+    if fmt == "json":
+        payload = {"command": "demo", "columns": list(table), "rows": rows}
+        if summary:
+            payload["summary"] = summary
+        expected = "".join(json.JSONEncoder(indent=2).iterencode(payload)) + "\n"
+    else:
+        lines = [",".join(table)] + [",".join(map(cli._fmt, row)) for row in rows]
+        lines += [f"# {key} = {cli._fmt(value)}" for key, value in (summary or {}).items()]
+        expected = "".join(line + "\n" for line in lines)
+    args = cli._build_parser().parse_args(["ground", "--n", "1", "--format", fmt])
+    args.command = "demo"
+    cli._emit(args, table, summary)
+    assert capsys.readouterr().out == expected
+
+
+def test_table_writer_reports_its_row_count(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    args = cli._build_parser().parse_args(["ground", "--n", "1", "--format", "json", "--out", str(out)])
+    table, summary = WRITER_TABLES["every-kind"]
+    cli._emit(args, table, summary)
+    assert capsys.readouterr().out == f"wrote {out} (5 rows)\n"
+    assert len(json.loads(out.read_text())["rows"]) == 5
+
+
+def test_process_entry_freezes_the_import_heap(tmp_path):
+    # `python -m ringcat.cli`, with a hook that reads the collector's
+    # permanent generation as the child exits
+    home = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import atexit, gc, runpy, sys; sys.path.insert(0, {home!r}); "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+        "runpy.run_module('ringcat.cli', run_name='__main__')"
+    )
+    out = tmp_path / "g.csv"
+    child = subprocess.run([sys.executable, "-c", code, "ground", "--n", "3", "--out", str(out)],
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"wrote {out} (10 rows)\n"
+    label, count = child.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert project["project"]["scripts"] == {"ringcat": "ringcat.cli:entry"}
+
+
+def test_in_process_main_keeps_the_collector_state(tmp_path):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_cli("ground", "--n", "3", "--out", str(tmp_path / "g.csv")) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
