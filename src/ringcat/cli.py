@@ -13,6 +13,7 @@ state norm or a probability sum drifted from 1 beyond its tolerance).
 Malformed flags, including non-finite or zero-denominator angles, are
 refused by the argument parser with exit code 2; so, before any work, are
 settings whose largest phase overflows a float or exceeds ``_PHASE_CAP``.
+A reader closing stdout early (``ringcat ... | head``) ends the run with 0.
 
 So are settings whose estimated peak memory exceeds ``SIZE_BUDGET`` (1 GiB):
 each command sums, in closed form and before any array work, the arrays it
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -59,7 +60,7 @@ _PHASE_CAP = PHASE_TOL / (2 * sys.float_info.epsilon)
 # Memory a command may hold at its peak; see _check_size.
 SIZE_BUDGET = 1 << 30
 # Each estimate is its counted bytes times 5/4.  Traced with tracemalloc at
-# N = 150, every command peaks at 1.01 to 1.14 times the bytes it counts.
+# N = 150, every command peaks at 1.01 to 1.16 times the bytes it counts.
 _SAFETY = (5, 4)
 
 
@@ -91,8 +92,15 @@ def _parse_pi(text: str) -> float:
     return value
 
 
-def _parse_n_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _n_list(text: str) -> list[int]:
+    """A comma-separated list of particle numbers, such as '3,6,9'; an empty list is refused."""
+    try:
+        ns = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        ns = []
+    if not ns:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    return ns
 
 
 def _fmt(value) -> str:
@@ -128,30 +136,28 @@ def _footprint(args, n: int) -> dict[str, int]:
     makes of the command's grid (for ``timing``, the fallback's 2048-row
     chunks), or the timing series' 4096 B per distinct pair count, of which
     there are about dim/11 from N = 150 on and fewer per ket as N grows.  An emitted row:
-    a tuple (40 B + 8 B per value) in a list, and per value a list slot and a
-    24 B float, or a 28 B int above 256.
+    per value a slot in its column's list and a 24 B float, or a 28 B int above
+    256; the rows are zipped from those lists as they are written.
     """
     kets, slots = dimension(n), (n + 1) ** 2
     full, rest = divmod(n + 1, _CLASS_SIZE)  # classes with s = 16, 32, ..., then one with s = n + 1
     lift = 8 * (_CLASS_SIZE**3 * full * (full + 1) * (2 * full + 1) // 6 + rest * slots) + 224 * slots + 40 * kets
     ints = 56 * math.comb(max(n - 255, 0), 2)  # the values above 256 in two occupation columns
-    # per ket: basis 24, amplitudes 8, pair counts 8, extremal columns 48, a state 16,
-    # a real vector 8; per row: 2 ints and a float 120, 4 floats and an int 224
+    # per ket: basis 24, amplitudes 8, pair counts 8, the readout table 48, a state 16,
+    # a real vector 8; per row: 2 ints and a float 48, 4 floats and an int 136
     table = {
-        "ground": lambda: {"--n": (24 + 8 + 8 + 120) * kets + ints},
-        "cat": lambda: {"--n": (24 + 8 + 8 + 48 + 16 + 8 + 120) * kets + ints + lift},
-        # the columns of n - 1 and n, 56 of temporaries as n's are built; a row and its result 264
-        "cattiness-sweep": lambda: {"--n-max": (24 + 8 + 8 + 16 + 2 * 48 + 56) * kets + 264 * (n - args.n_min + 1)},
-        # the columns' conjugate, and each ket's index into the distinct pair counts
-        # a piece's 16 B per ket per row
-        "timing": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8) * kets
+        "ground": lambda: {"--n": (24 + 8 + 8 + 48 + 12) * kets + ints},  # 12 for the parser's 0.25 MB at N = 150
+        "cat": lambda: {"--n": (24 + 8 + 8 + 48 + 16 + 8 + 48) * kets + ints + lift},
+        # the tables of n - 1 and n, 56 of temporaries as n's are built; a row and its result 176
+        "cattiness-sweep": lambda: {"--n-max": (24 + 8 + 8 + 16 + 2 * 48 + 56) * kets + 176 * (n - args.n_min + 1)},
+        # each ket's index into the distinct pair counts; a piece's 16 B per ket per row
+        "timing": lambda: {"--n": (24 + 8 + 8 + 48 + 8) * kets
                            + max(16 * kets * _sweep_buffer_rows(_SWEEP_CHUNK, kets), 4096 * (kets // 11))},
-        "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 8 + 16 * _sweep_buffer_rows(args.grid, kets)) * kets,
-                                "--grid": (16 + 128) * args.grid},
-        # the readout's conjugate columns, the cat and the doubled hold; the lift's
-        # work on a block; a scan point 72 and its row of 9 floats 408
-        "fringes": lambda: {"--n": (24 + 8 + 8 + 2 * 48 + 2 * 16) * kets + lift + 3 * max(_BLOCK_BYTES, 16 * slots),
-                            "--grid": (72 + 408) * args.grid},
+        "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 48 + 8 + 16 * _sweep_buffer_rows(args.grid, kets)) * kets,
+                                "--grid": (16 + 64) * args.grid},
+        # the cat and the doubled hold; the lift's work on a block; a scan point 72, its 9 floats 288
+        "fringes": lambda: {"--n": (24 + 8 + 8 + 48 + 2 * 16) * kets + lift + 3 * max(_BLOCK_BYTES, 16 * slots),
+                            "--grid": (72 + 288) * args.grid},
     }
     return table[args.command]()
 
@@ -184,28 +190,19 @@ def _csv_lines(table, rows, summary):
         yield f"# {key} = {_fmt(value)}\n"
 
 
-def _json_float(value: float) -> str:
-    """A float as ``json`` writes it: its repr, or ``NaN``, ``Infinity`` and ``-Infinity``."""
-    if value != value:
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return repr(value)
-
-
 def _json_lines(command, table, rows, summary):
     """The text ``json.JSONEncoder(indent=2).iterencode`` gives for the payload, and a newline.
 
     ``json.dumps`` writes the head and the summary.  Each row goes through
     one ``%s`` template: ``str`` of a float or an int is its repr, and a
-    column with nan or inf arrives as ``_json_float`` text.
+    column with nan or inf arrives as ``json.dumps`` text.
     """
     yield json.dumps({"command": command, "columns": list(table)}, indent=2)[:-2]  # without its closing "\n}"
     yield ',\n  "rows": ['
     template = ",\n    [\n      " + ",\n      ".join(["%s"] * len(table)) + "\n    ]"
-    if rows:
-        yield (template % rows[0])[1:]  # the first row has no comma before it
-        yield from map(template.__mod__, itertools.islice(rows, 1, None))
+    if (first := next(rows, None)) is not None:
+        yield (template % first)[1:]  # the first row has no comma before it
+        yield from map(template.__mod__, rows)
         yield "\n  "
     yield "]"
     if summary:
@@ -220,25 +217,23 @@ def _emit(args, table, summary=None) -> None:
     the only place numbers become text: each column goes through one
     ``.tolist()``, so integer columns print as integers and float columns
     as 17 significant digits (CSV) or Python's shortest round-trip repr
-    (JSON, with ``json``'s NaN and Infinity).  The text is streamed to the
-    handle, never held as one string.
+    (JSON, with ``json``'s NaN and Infinity).  Rows are zipped from the
+    column lists as the text is streamed: no row list or string is held.
     """
     values = [column.tolist() for column in table.values()]
     if args.format == "json":
         for i, column in enumerate(table.values()):
             if column.dtype.kind == "f" and not np.isfinite(column).all():
-                values[i] = list(map(_json_float, values[i]))
-    rows = list(zip(*values))
-    if args.format == "json":
-        chunks = _json_lines(args.command, table, rows, summary)
+                values[i] = list(map(json.dumps, values[i]))
+        chunks = _json_lines(args.command, table, zip(*values), summary)
     else:
-        chunks = _csv_lines(table, rows, summary or {})
+        chunks = _csv_lines(table, zip(*values), summary or {})
     if args.out == "-":
         sys.stdout.writelines(chunks)
     else:
         with open(args.out, "w", newline="\n") as handle:
             handle.writelines(chunks)
-        print(f"wrote {args.out} ({len(rows)} rows)")
+        print(f"wrote {args.out} ({len(values[0])} rows)")
 
 
 def cmd_ground(args) -> None:
@@ -278,19 +273,16 @@ def cmd_cattiness_sweep(args) -> None:
 
 
 def cmd_timing(args) -> None:
-    ns = _parse_n_list(args.n)
-    if not ns:
-        raise ValueError("--n list is empty")
-    for n in ns:
+    for n in args.n:
         _require_cat_number(n)
-    _check_size(args, max(ns))
-    _require_finite_columns(max(ns))
-    d0 = np.array([timing_tolerance(n, args.c_target) for n in ns])
+    _check_size(args, max(args.n))
+    _require_finite_columns(max(args.n))
+    d0 = np.array([timing_tolerance(n, args.c_target) for n in args.n])
     inv = 1.0 / d0
-    x = np.array(ns, dtype=np.float64)
+    x = np.array(args.n, dtype=np.float64)
     slope = float(np.sum(x * inv) / np.sum(x * x))
     summary = {"c_target": args.c_target, "fit_slope_inv_delta0_vs_n": slope, "fit_prefactor": 1.0 / slope}
-    _emit(args, {"n": np.array(ns), "delta0": d0, "inv_delta0": inv, "n_delta0": x * d0}, summary)
+    _emit(args, {"n": np.array(args.n), "delta0": d0, "inv_delta0": inv, "n_delta0": x * d0}, summary)
 
 
 def cmd_calibrate_u(args) -> None:
@@ -357,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cattiness_sweep)
 
     p = sub.add_parser("timing", help="timing tolerance delta0 for each n and the scaling fit")
-    p.add_argument("--n", required=True, help="comma-separated multiples of 3, e.g. 3,6,9")
+    p.add_argument("--n", type=_n_list, required=True, help="comma-separated multiples of 3, e.g. 3,6,9")
     p.add_argument("--c-target", type=_finite_float, default=0.9)
     common(p)
     p.set_defaults(func=cmd_timing)
@@ -387,6 +379,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    except BrokenPipeError:
+        raise  # the reader has gone; ``entry`` ends the process quietly
     except PhysicsError as exc:
         print(f"ringcat: {exc}", file=sys.stderr)
         return 3
@@ -406,10 +400,15 @@ def entry() -> int:
     their ~21,600 tracked objects live until exit, and every full collection,
     in the run and at interpreter exit, would walk them again.  Objects the
     command makes are collected as before.  ``main`` itself does not freeze,
-    so an in-process caller keeps its collector state.
+    so an in-process caller keeps its collector state.  A reader closing stdout
+    early ends the run with 0, stdout on ``os.devnull`` so the exit flush is quiet.
     """
     gc.freeze()
-    return main()
+    try:
+        return main()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

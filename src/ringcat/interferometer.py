@@ -25,7 +25,7 @@ import numpy as np
 
 from .evolution import _interaction_phases, evolve_interaction_phase
 from .hamiltonian import _mode_energies
-from .modes import dft_lift, extremal_columns
+from .modes import _extremal_readout, dft_lift, extremal_columns
 from .protocol import CAT_HOLD_PHASE, _require_cat_number, run_protocol
 from .state import Representation, StateVector, _check_norms
 
@@ -189,7 +189,7 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     lift = dft_lift(n)
     cat = lift.to_momentum(run_protocol(n).state).amps
     inverse_hold = _interaction_phases(n, 2.0 * CAT_HOLD_PHASE)
-    readout = extremal_columns(n).conj().T
+    readout = _extremal_readout(n).T
     rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     closed = np.empty_like(sim)

@@ -311,13 +311,12 @@ def _require_finite_columns(n: int) -> None:
         raise ValueError(f"particle number must be at most 1292, where 3^(n/2) still fits a float, got {n}")
 
 
-@lru_cache(maxsize=1)
 def extremal_columns(n: int) -> np.ndarray:
     """Site-basis vectors of the three n-fold mode occupations, as columns.
 
     Column k is the ket with every particle in mode k.  Its site amplitudes
     have the closed form sqrt(n!/(p! q! r!)) prod_j conj(F[k, j])^(n_j),
-    so no full lift is needed.
+    so no full lift is needed.  Each call makes a fresh array.
     """
     _require_finite_columns(n)
     occ = enumerate_basis(n)
@@ -331,8 +330,16 @@ def extremal_columns(n: int) -> np.ndarray:
             * fc[k, 1] ** occ[:, 1]
             * fc[k, 2] ** occ[:, 2]
         )
-    cols.setflags(write=False)
     return cols
+
+
+@lru_cache(maxsize=1)
+def _extremal_readout(n: int) -> np.ndarray:
+    """``extremal_columns(n)`` conjugated in place and read-only: ``.T @ amps`` reads out the three kets."""
+    table = extremal_columns(n)
+    np.conjugate(table, out=table)
+    table.setflags(write=False)
+    return table
 
 
 def extremal_mode_probabilities(s: StateVector) -> tuple[float, float, float]:
@@ -346,7 +353,7 @@ def extremal_mode_probabilities(s: StateVector) -> tuple[float, float, float]:
         probs = s.probabilities()
         ia, ib, ig = _extremal_ranks(s.n)
         return float(probs[ia]), float(probs[ib]), float(probs[ig])
-    amps = extremal_columns(s.n).conj().T @ s.amps
+    amps = _extremal_readout(s.n).T @ s.amps
     pa, pb, pg = (float(abs(a)) ** 2 for a in amps)
     return pa, pb, pg
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import dimension, multinomial_amplitudes, pair_counts
 from .evolution import evolve_interaction_phase
-from .modes import extremal_columns, extremal_mode_probabilities
+from .modes import _extremal_readout, extremal_mode_probabilities
 from .state import StateVector, superfluid_ground_state
 
 __all__ = [
@@ -147,14 +147,13 @@ def _sweep_inputs(n: int):
     """Per-n sweep inputs: ``ground``, ``uhalf``, ``where`` and ``wconj``.
 
     ``uhalf`` holds the distinct half pair counts and ``uhalf[where]`` is the
-    half pair count of every ket; ``wconj`` is the conjugated extremal columns.
+    half pair count of every ket; ``wconj`` is ``modes._extremal_readout(n)``.
     """
     ground = multinomial_amplitudes(n)
     uhalf, where = np.unique(0.5 * pair_counts(n).astype(np.float64), return_inverse=True)
-    wconj = np.ascontiguousarray(extremal_columns(n).conj())
-    for a in (uhalf, where, wconj):
+    for a in (uhalf, where):
         a.setflags(write=False)
-    return ground, uhalf, where, wconj
+    return ground, uhalf, where, _extremal_readout(n)
 
 
 def _sweep_pieces(rows: int, dim: int) -> int:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -401,8 +402,8 @@ def assert_one_line_refusal(capsys, flag):
         (("calibrate-u", "--n", "3", "--grid", "1000000000000"), "--grid"),
         (("fringes", "--n", "3", "--grid", "1000000000000"), "--grid"),
         (("cat", "--n", "1" + "0" * 400), "--n"),
-        # 36 bytes over the budget: the printed figure must still read above it
-        (("calibrate-u", "--n", "3", "--grid", "5962947"), "--grid"),
+        # 76 bytes over the budget: the printed figure must still read above it
+        (("calibrate-u", "--n", "3", "--grid", "10733311"), "--grid"),
     ],
     ids=["ground", "cat", "timing", "calibrate-u", "cattiness-sweep", "fringes", "calibrate-u-grid",
          "fringes-grid", "cat-400-digits", "calibrate-u-grid-just-over"],
@@ -426,17 +427,17 @@ class Reached(Exception):
 
 
 # the commands that read out through the extremal columns stop where their
-# factor 3^(n/2) overflows a float, below their memory limits (2871, 1821, 2988)
+# factor 3^(n/2) overflows a float, below their memory limits (2871, 1911, 3450)
 @pytest.mark.parametrize(
     "argv, largest, step, stage, refusal",
     [
-        (("ground", "--n"), 2883, 1, "superfluid_ground_state", "memory budget"),
-        (("cat", "--n"), 634, 1, "run_protocol", "memory budget"),
+        (("ground", "--n"), 3407, 1, "superfluid_ground_state", "memory budget"),
+        (("cat", "--n"), 638, 1, "run_protocol", "memory budget"),
         (("cattiness-sweep", "--n-min", "1", "--n-max"), 1292, 1, "cattiness_sweep", "3^(n/2)"),
         (("timing", "--n"), 1290, 3, "timing_tolerance", "3^(n/2)"),
         (("calibrate-u", "--grid", "2048", "--n"), 1290, 3, "_calibrate_on_grid", "3^(n/2)"),
         (("calibrate-u", "--n"), 1290, 3, "_calibrate_on_grid", "3^(n/2)"),
-        (("fringes", "--n"), 633, 3, "fringe_scan", "memory budget"),
+        (("fringes", "--n"), 636, 3, "fringe_scan", "memory budget"),
     ],
     ids=["ground", "cat", "cattiness-sweep", "timing", "calibrate-u-2048", "calibrate-u-121", "fringes"],
 )
@@ -457,7 +458,15 @@ def assert_refused_at_parse(capsys, *argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("ringcat cat: error: argument")
+    line = err.splitlines()[-1]
+    assert line.startswith(f"ringcat {argv[0]}: error: argument"), line
+    return line
+
+
+@pytest.mark.parametrize("value", ["3,x", "3,6.0", ",", "", " , "])
+def test_timing_n_list_is_refused_at_parse(value, capsys):
+    line = assert_refused_at_parse(capsys, "timing", "--n", value)
+    assert line.endswith(f"argument --n: not a comma-separated list of integers: {value!r}"), line
 
 
 def test_zero_denominator_angle_is_refused(tmp_path, capsys):
@@ -558,6 +567,24 @@ def test_table_writer_matches_json_and_the_csv_lines(name, fmt, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_table_writer_holds_no_row_list(tmp_path, capsys):
+    # rows are zipped from the column lists as they are written: a list of
+    # row tuples beside those lists would add 72 B per row, 3/4 of their bytes
+    rows = 100_000
+    table = {name: np.linspace(0.0, 1.0, rows) + k for k, name in enumerate("xyz")}
+    columns = 3 * (sys.getsizeof([0.0] * rows) + 24 * rows)
+    out = tmp_path / "t.csv"
+    args = cli._build_parser().parse_args(["ground", "--n", "1", "--out", str(out)])
+    tracemalloc.start()
+    try:
+        cli._emit(args, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"wrote {out} ({rows} rows)\n"
+    assert peak < 1.3 * columns, (peak, columns)
+
+
 def test_table_writer_reports_its_row_count(tmp_path, capsys):
     out = tmp_path / "t.json"
     args = cli._build_parser().parse_args(["ground", "--n", "1", "--format", "json", "--out", str(out)])
@@ -589,6 +616,31 @@ def test_console_script_is_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     assert project["project"]["scripts"] == {"ringcat": "ringcat.cli:entry"}
+
+
+def test_a_closed_stdout_pipe_ends_the_run_quietly():
+    # `ringcat ground --n 2000 | head -1`: the reader goes after one line
+    home = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": home}
+    child = subprocess.Popen([sys.executable, "-m", "ringcat.cli", "ground", "--n", "2000"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"n_a,n_b,p\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 0
+    assert err == b""
+
+
+class ClosedPipe:
+    def writelines(self, chunks):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_in_process_main_lets_a_broken_pipe_through(monkeypatch):
+    # only the process entry ends quietly; an in-process caller sees the error
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        run_cli("ground", "--n", "3")
 
 
 def test_in_process_main_keeps_the_collector_state(tmp_path):

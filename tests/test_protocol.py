@@ -331,8 +331,23 @@ def test_cached_per_n_arrays_are_read_only():
             for a in arrays_in(result):
                 assert not a.flags.writeable, name
                 checked[name] = checked.get(name, 0) + 1
-    assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients", "dft_lift"} <= set(checked)
+    assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients", "dft_lift",
+            "_extremal_readout"} <= set(checked)
     assert checked["_hopping_eigenbases"] == 4  # three classes and the eigenvalues
+
+
+def test_sweep_and_readout_share_one_cached_table():
+    # the sweep, its series and the extremal readout all read one conjugated
+    # table per n, conjugated in place from a fresh extremal_columns(n)
+    n = 30
+    protocol._sweep_inputs.cache_clear()
+    modes._extremal_readout.cache_clear()
+    readout = protocol._sweep_inputs(n)[3]
+    assert modes._extremal_readout(n) is readout
+    assert readout.shape == (dimension(n), 3) and readout.flags.c_contiguous and not readout.flags.writeable
+    kets = modes.extremal_columns(n)
+    assert kets is not modes.extremal_columns(n)
+    assert np.array_equal(kets.view(np.uint64), readout.conj().view(np.uint64))
 
 
 def test_calibration_finds_the_resonance():

@@ -1,0 +1,123 @@
+"""Record the benchmark of a checkout in a BENCH_<rev>.json file, and compare two such files.
+
+    python3 tools/bench_record.py record [--root CHECKOUT]
+    python3 tools/bench_record.py compare OLD.json NEW.json
+
+``record`` runs ``python3 ringbench/run.py --workload W --seed S --seconds T
+--trace 0`` unchanged in CHECKOUT (default: the checkout holding this
+script), for every workload that BENCHMARK.json lists and seeds 1 to 5, with
+T its ``run_seconds``.  The seeds are the outer loop, so a drift in machine
+speed spreads over every workload.  It writes BENCH_<rev>.json in the
+current directory: per workload and end-to-end metric, the value of each
+run, the seeds, the run count, the median and the quartiles (inclusive
+method), and the failed and attempted command counts; then run.py's machine
+facts, the git revision and whether the checkout had uncommitted changes.
+
+``compare`` prints each metric's change of median.  It says whether the
+medians differ by more than OLD's quartile spread, and whether NEW is worse
+than OLD by more than the metric's relative bound in BENCHMARK.json.  Stdlib
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HOME = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3, 4, 5)
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+    """run.py's facts and its final JSON line, for one workload and seed."""
+    argv = [sys.executable, "ringbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()[-300:]}")
+    lines = proc.stdout.splitlines()
+    facts = next(json.loads(line[len("facts "):]) for line in lines if line.startswith("facts "))
+    return facts, json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def record(root: Path) -> Path:
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    runs: dict[str, list[dict]] = {name: [] for name in names}
+    facts = None
+    for seed in SEEDS:
+        for name in names:
+            facts, result = run_once(root, name, seed, spec["run_seconds"])
+            runs[name].append(result)
+            print(f"{name} seed {seed}: " + ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
+                  flush=True)
+    workloads = {}
+    for name, results in runs.items():
+        metrics = {}
+        for metric in spec["end_to_end"]:
+            values = [r["metrics"][metric["name"]]["value"] for r in results]
+            metrics[metric["name"]] = {"unit": metric["unit"], **summary(values)}
+        workloads[name] = {"seeds": list(SEEDS), "runs": len(results), "metrics": metrics,
+                           "failed": sum(r["failed"] for r in results),
+                           "attempted": sum(r["attempted"] for r in results)}
+    rev = git(root, "rev-parse", "HEAD").strip()
+    out = Path(f"BENCH_{rev[:7]}.json")
+    payload = {"revision": rev, "dirty": bool(git(root, "status", "--porcelain").strip()),
+               "command": "python3 ringbench/run.py --workload W --seed S --seconds "
+                          f"{spec['run_seconds']} --trace 0",
+               "facts": facts, "workloads": workloads}
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    return out
+
+
+def compare(old_path: Path, new_path: Path) -> None:
+    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    spec = json.loads((HOME / "BENCHMARK.json").read_text())
+    print(f"old {old['revision'][:7]}{' (dirty)' if old['dirty'] else ''}, "
+          f"new {new['revision'][:7]}{' (dirty)' if new['dirty'] else ''}")
+    for name, before in old["workloads"].items():
+        after = new["workloads"][name]
+        print(f"{name}: failed {before['failed']}/{before['attempted']} -> {after['failed']}/{after['attempted']}, "
+              f"runs {before['runs']} -> {after['runs']}")
+        for metric in spec["end_to_end"]:
+            a, b = before["metrics"][metric["name"]], after["metrics"][metric["name"]]
+            change = (b["median"] - a["median"]) / a["median"]
+            worse = change if metric["better"] == "lower" else -change
+            spread = a["q3"] - a["q1"]
+            print(f"  {metric['name']:12s} {a['median']:9.4g} [{a['q1']:.4g}, {a['q3']:.4g}] -> "
+                  f"{b['median']:9.4g} [{b['q1']:.4g}, {b['q3']:.4g}] {metric['unit']:2s} {change:+7.2%}; "
+                  f"beyond old quartile spread: {'yes' if abs(b['median'] - a['median']) > spread else 'no'}; "
+                  f"worse than bound {metric['bound']:.0%}: {'YES' if worse > metric['bound'] else 'no'}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="action", required=True)
+    p = sub.add_parser("record", help="run the benchmark in a checkout and write BENCH_<rev>.json here")
+    p.add_argument("--root", type=Path, default=HOME, help="the checkout to benchmark")
+    p = sub.add_parser("compare", help="compare two BENCH files")
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    if args.action == "record":
+        print(f"wrote {record(args.root.resolve())}")
+    else:
+        compare(args.old, args.new)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
