@@ -103,13 +103,23 @@ def fringe_probabilities(s: FringeSettings) -> tuple[float, float, float]:
     x = phi_rot shifted by 0, +2*pi/3, -2*pi/3 for alpha, beta, gamma; they
     sum to one identically and match |W^2 Q W (1,0,0)|^2 componentwise.
     """
-    ch = math.cos(s.phi_hop)
+    pa, pb, pg = _closed_columns(np.array([s.phi_rot], dtype=np.float64), s.phi_hop)[0].tolist()
+    return pa, pb, pg
 
-    def branch(shift: float) -> float:
-        c = math.cos(s.phi_rot + shift)
-        return (1.0 + 4.0 * c * c + 4.0 * c * ch) / 9.0
 
-    return branch(0.0), branch(CAT_HOLD_PHASE), branch(-CAT_HOLD_PHASE)
+def _closed_columns(phi_rot: np.ndarray, phi_hop: float) -> np.ndarray:
+    """``fringe_probabilities`` at each rotation phase, shape (len(phi_rot), 3).
+
+    Each cosine is ``math.cos`` of one value, and the arithmetic runs
+    elementwise in the formula's order, so a row has the bits of the
+    scalar formula.
+    """
+    ch = math.cos(phi_hop)
+    out = np.empty((phi_rot.size, 3))
+    for k, shift in enumerate((0.0, CAT_HOLD_PHASE, -CAT_HOLD_PHASE)):
+        c = np.fromiter(map(math.cos, (phi_rot + shift).tolist()), np.float64, phi_rot.size)
+        out[:, k] = (1.0 + 4.0 * c * c + 4.0 * c * ch) / 9.0
+    return out
 
 
 def full_simulation_fringes(n: int, j: float, xi: float, dt: float) -> tuple[float, float, float]:
@@ -172,9 +182,13 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     rows: one vectorized pass makes a block's mode energies and sensing
     phases for ``dt``, one lift takes all its rows back to sites, and the
     doubled hold, the norm checks and the extremal readout run on the
-    whole block.  Each row keeps the bits of a one-point scan, because the
-    lift's BLAS calls and the readout's per-row products have the shapes
-    of a single state.  Only multiples of three keep the state in the
+    whole block.  Each row keeps the bits of a one-point scan: the lift's
+    transposed products give each column the same bits at any width, its
+    other products and the readout's have the shapes of a single state,
+    and the block's |a|^2 is ``float_power(hypot(re, im), 2.0)``, the libm
+    hypot and pow that ``float(abs(a)) ** 2`` calls.  The closed-form
+    columns come from ``fringe_probabilities``' own formula, evaluated over
+    the whole grid.  Only multiples of three keep the state in the
     extremal subspace; other n are rejected, as are a non-finite ``j`` or
     xi.
 
@@ -192,21 +206,27 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     readout = _extremal_readout(n).T
     rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
-    closed = np.empty_like(sim)
+    # the lift's two gather arrays, shared by every block.  One-row blocks
+    # (n >= 90) gather into fresh arrays, as a one-point lift does: there the
+    # pair, held through the norm checks' temporaries, would raise the peak
+    work = tuple(np.empty((n + 1) ** 2 * rows, dtype=np.complex128) for _ in range(2)) if rows > 1 else None
     for lo in range(0, xi_values.size, rows):
-        held = np.exp(-1j * dt * _mode_energies(n, j, xi_values[lo : lo + rows, None]))
+        # exp in place, and held dropped after the lift, so that a block's
+        # phases stack on no other complex temporary of their size
+        held = np.multiply(-1j * dt, _mode_energies(n, j, xi_values[lo : lo + rows, None]))
+        np.exp(held, out=held)
         if cat.size >= _ELIDE_KETS:
             held *= cat
         else:
             np.multiply(cat, held, out=held)
         _check_norms(held)
-        final = lift.to_site_rows(held)
+        final = lift.to_site_rows(held, work)
+        del held
         final *= inverse_hold
         _check_norms(final)
-        for i, amps in enumerate(readout @ final[:, :, None], lo):
-            sim[i] = [float(abs(a)) ** 2 for a in amps[:, 0]]
-    for i, xi in enumerate(xi_values):
-        closed[i] = fringe_probabilities(FringeSettings.from_physical(n, j, float(xi), dt))
+        amps = (readout @ final[:, :, None])[:, :, 0]
+        sim[lo : lo + rows] = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+    closed = _closed_columns(n * xi_values * dt, 3.0 * n * j * dt)
     xi_dt = xi_values * dt
     peaks = _peak_positions(xi_dt, closed[:, 0])
     period = float(np.mean(np.diff(peaks))) if peaks.size >= 2 else math.nan

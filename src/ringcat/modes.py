@@ -176,6 +176,38 @@ def _gathers(n: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def _rotate(classes: tuple[np.ndarray, ...], turn: np.ndarray, y: np.ndarray, spare: np.ndarray | None) -> None:
+    """Rotate the slot-major y, shape ((n+1)^2, m), in place, block K by block K.
+
+    The leading s slots of block K are an (s, 2m) float matrix in the real
+    view, one (s, 2) column pair per state.  Each eigenbasis class makes
+    two products, with its (s, s) eigenbases transposed and then as
+    stored, and multiplies ``turn`` in between.  The transposed product
+    takes the whole block in one BLAS call per K: the transpose is a view,
+    BLAS reads it with its trans flag, and that product gives each column
+    the same bits at every width.  It goes to ``spare``, an array of y's
+    size whose contents are not needed, or to a fresh array if that is
+    None.  The second product stays one (s, s) @ (s, 2) call per state and
+    K, since its bits do depend on the width (up to 1.3e-15 at some sizes
+    s).  Slots past a class's s are empty and stay zero.
+    """
+    rows = y.shape[1]
+    side = classes[-1].shape[1]
+    wide = y.view(np.float64).reshape(side, side, 2 * rows)
+    each = wide.reshape(side, side, rows, 2).transpose(0, 2, 1, 3)
+    spare = None if spare is None else spare.view(np.float64).reshape(-1)
+    lo = 0
+    for vecs in classes:
+        count, s = vecs.shape[:2]
+        v = None if spare is None else spare[: count * s * 2 * rows].reshape(count, s, 2 * rows)
+        v = np.matmul(vecs.transpose(0, 2, 1), wide[lo : lo + count, :s], out=v)
+        w = v.view(np.complex128)
+        w *= turn[lo : lo + count, :s]
+        v = v.reshape(count, s, rows, 2).transpose(0, 2, 1, 3)
+        np.matmul(vecs[:, None], v, out=each[lo : lo + count, :, :s])
+        lo += count
+
+
 @dataclass(frozen=True, eq=False)
 class _Sweep:
     """One direction of the factored lift: phase, rotate, phase, ..., phase.
@@ -202,43 +234,41 @@ class _Sweep:
                 a.setflags(write=False)
         return cls(n, phases, turns)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Act on the rows of x, shape (m, dim): one state per row.
 
-        Every BLAS call has the shape of a single state's.  A rotation runs
-        two broadcast ``np.matmul`` per eigenbasis class, each of the
-        class's (s, s) eigenbases (transposed, then as stored) with one
-        block's leading s slots in the real view, an (s, 2) float matrix:
-        m * count products per class.  The transpose is a view, so BLAS
-        reads it with its trans flag, as it would a padded (n+1)-sized one.
-        A row therefore gets the same bits alone as in any stack.  States
-        are never put side by side as columns of one product: BLAS rounds
-        widths of 1-2 columns differently from wider ones (a few 1e-15).
-        Slots past a class's s are empty and stay zero.
+        Each of the four steps gathers the slot-major (slots, m) array of
+        the previous layout, slots = (n+1)^2, into the next layout and
+        multiplies its phases; each of the first three then rotates it (see
+        ``_rotate``).  A row gets the same bits alone as in any stack.
+
+        ``work`` is two flat complex arrays of at least slots * m entries,
+        for a caller that applies many stacks.  The gathers then alternate
+        between the two, each rotation keeps its products in the one it was
+        gathered from, and the result is a view of one of them, valid until
+        the next call with them: no slot-major array is allocated.  Without
+        ``work`` each step makes fresh arrays, as one-off callers need, with
+        at most two slot-major arrays alive at once.  Either way the result
+        is the transposed view of a slot-major array.
         """
         n = self.n
         classes, _ = _hopping_eigenbases(n)
-        gathers = _gathers(n)
-        rows = x.shape[0]
-        y = np.zeros((rows, x.shape[1] + 1), dtype=np.complex128)
-        y[:, :-1] = x
-        for gather, phase, turn in zip(gathers[:3], self.phases[:3], self.turns):
-            y = y[:, gather]
-            y *= phase
+        rows, dim = x.shape
+        bufs = None if work is None else [w[: (n + 1) ** 2 * rows].reshape(-1, rows) for w in work]
+        y = np.empty((dim + 1, rows), dtype=np.complex128) if bufs is None else bufs[0]
+        y[:dim] = x.T
+        y[dim:] = 0  # the first gather reads row dim for every empty slot
+        steps = zip(_gathers(n), self.phases, self.turns + (None,))
+        for i, (gather, phase, turn) in enumerate(steps):
+            if bufs is None:
+                y, spare = y[gather], None
+            else:  # mode="clip" lets take write into its out; "raise" would copy
+                spare = y
+                y = np.take(spare, gather, axis=0, out=bufs[(i + 1) % 2][: gather.size], mode="clip")
+            y *= phase[:, None]
             if turn is not None:
-                slots = y.reshape(rows, n + 1, n + 1, 1).view(np.float64)
-                lo = 0
-                for vecs in classes:
-                    count, s = vecs.shape[:2]
-                    block = slots[:, lo : lo + count, :s]
-                    v = np.matmul(vecs.transpose(0, 2, 1), block)
-                    w = v.view(np.complex128)
-                    w *= turn[lo : lo + count, :s]
-                    np.matmul(vecs, v, out=block)
-                    lo += count
-        y = y[:, gathers[3]]
-        y *= self.phases[3]
-        return y
+                _rotate(classes, turn, y, spare)
+        return y.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,12 +307,14 @@ class FockLift:
             raise ValueError("to_site expects a momentum-representation state")
         return StateVector(s.n, Representation.SITE, self.to_site_rows(s.amps[None])[0])
 
-    def to_site_rows(self, amps: np.ndarray) -> np.ndarray:
+    def to_site_rows(self, amps: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Momentum amplitudes, one state per row, mapped back to sites.
 
         The rows are returned unchecked; the caller checks their norms.
+        ``work`` is as for ``_Sweep.apply``: with it the result is a view
+        of the work arrays, valid until the next call with them.
         """
-        return self.adjoint.apply(amps)
+        return self.adjoint.apply(amps, work)
 
 
 def lift_to_fock(f: np.ndarray, n: int) -> FockLift:

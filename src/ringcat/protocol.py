@@ -144,16 +144,17 @@ def run_protocol(n: int, theta: float = CAT_HOLD_PHASE) -> ProtocolResult:
 
 @lru_cache(maxsize=1)
 def _sweep_inputs(n: int):
-    """Per-n sweep inputs: ``ground``, ``uhalf``, ``where`` and ``wconj``.
+    """Per-n sweep inputs: ``ground``, ``uhalf`` and ``where``.
 
     ``uhalf`` holds the distinct half pair counts and ``uhalf[where]`` is the
-    half pair count of every ket; ``wconj`` is ``modes._extremal_readout(n)``.
+    half pair count of every ket.  The readout table is not among them: its
+    users read ``modes._extremal_readout(n)``, so one table per n is alive.
     """
     ground = multinomial_amplitudes(n)
     uhalf, where = np.unique(0.5 * pair_counts(n).astype(np.float64), return_inverse=True)
     for a in (uhalf, where):
         a.setflags(write=False)
-    return ground, uhalf, where, _extremal_readout(n)
+    return ground, uhalf, where
 
 
 def _sweep_pieces(rows: int, dim: int) -> int:
@@ -197,7 +198,8 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
-    ground, uhalf, where, wconj = _sweep_inputs(n)
+    ground, uhalf, where = _sweep_inputs(n)
+    wconj = _extremal_readout(n)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty((thetas.size, 3), dtype=np.float64)
     buf = np.empty((_sweep_buffer_rows(thetas.size, where.size), where.size), dtype=np.complex128)
@@ -225,9 +227,9 @@ def _series_coefficients(n: int) -> np.ndarray:
     pair count is ``uhalf[m]``, so the extremal amplitudes at hold phase
     theta are b @ exp(-1j * theta * uhalf): one term per distinct pair count.
     """
-    ground, uhalf, where, wconj = _sweep_inputs(n)
+    ground, uhalf, where = _sweep_inputs(n)
     b = np.zeros((3, uhalf.size), dtype=np.complex128)
-    np.add.at(b.T, where, ground[:, None] * wconj)
+    np.add.at(b.T, where, ground[:, None] * _extremal_readout(n))
     b.setflags(write=False)
     return b
 

@@ -336,8 +336,8 @@ def test_fringes_point_loop_keeps_its_norm_checks(tmp_path, capsys, monkeypatch)
     # checks must catch the drift
     to_site_rows = FockLift.to_site_rows
 
-    def drifted(self, amps):
-        return 1.001 * to_site_rows(self, amps)
+    def drifted(self, amps, work=None):
+        return 1.001 * to_site_rows(self, amps, work)
 
     monkeypatch.setattr(FockLift, "to_site_rows", drifted)
     assert run_cli("fringes", "--n", "3", "--grid", "8", "--out", str(tmp_path / "f.csv")) == 4

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -243,6 +244,36 @@ def test_block_scan_matches_the_per_point_oracle_bit_for_bit(n):
     xi_values = np.linspace(0.0, 2.0 * math.pi / n, grid)
     scan = fringe_scan(n, 0.2, xi_values, 1.1)
     assert scan.probs_sim.tobytes() == per_point_scan(n, 0.2, xi_values, 1.1).tobytes()
+
+
+def scalar_square(a):
+    """|a|^2 as a one-point scan takes it: hypot, then libm's pow."""
+    try:
+        return float(abs(a)) ** 2
+    except OverflowError:  # Python raises where pow returns inf
+        return math.inf
+
+
+def test_block_squaring_is_the_scalar_squaring_bit_for_bit():
+    # fringe_scan squares a whole block's amplitudes as
+    # float_power(hypot(re, im), 2.0), which calls the libm hypot and pow
+    # that float(abs(a)) ** 2 calls one value at a time
+    rng = np.random.default_rng(23)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    eps = np.finfo(np.float64).eps
+    edges = [0.0, tiny, -tiny, 5 * tiny, -3e-310, 1e-150, -1e-150, 1e150, -1e150, 1e-300, -1e-300, 1e300, -1e300,
+             1.0, -1.0, 1.0 - eps, 1.0 + 2 * eps, math.sqrt(0.5)]
+    near_one = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 1000)) * (1.0 + eps * rng.integers(-8, 9, 1000))
+    scale = 10.0 ** rng.uniform(-160.0, 150.0, 50_000)
+    amps = np.concatenate([
+        [complex(re, im) for re, im in itertools.product(edges, repeat=2)],
+        near_one,
+        (rng.normal(size=50_000) + 1j * rng.normal(size=50_000)) / math.sqrt(2.0),
+        scale * (rng.normal(size=50_000) + 1j * rng.normal(size=50_000)),
+    ])
+    with np.errstate(over="ignore"):
+        block = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+    assert block.tobytes() == np.array([scalar_square(a) for a in amps]).tobytes()
 
 
 @pytest.mark.parametrize("j, xi", [(math.nan, 0.5), (math.inf, 0.5), (0.2, math.nan), (0.2, -math.inf)])

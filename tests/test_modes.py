@@ -8,6 +8,7 @@ import pytest
 import ringcat.modes as modes
 from ringcat.basis import dimension, enumerate_basis, rank
 from ringcat.evolution import evolve_interaction_phase
+from ringcat.interferometer import _BLOCK_BYTES
 from ringcat.modes import (
     dft_lift,
     dft_mode_matrix,
@@ -263,13 +264,37 @@ def padded_apply(sweep, vecs, x):
     return y
 
 
+def fringe_block_rows(n):
+    """Rows of one ``fringe_scan`` block at n."""
+    return max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
+
+
+@pytest.mark.parametrize(
+    "n, widths", [(n, (1, 2, 3, fringe_block_rows(n))) for n in range(3, 91, 3)] + [(150, (16, 256)), (300, (16, 256))]
+)
+def test_the_transposed_product_gives_each_state_its_own_bits_at_every_width(n, widths):
+    # _Sweep.apply takes each eigenbasis transposed against a whole block of
+    # states in one BLAS call; the rows keep their bits only because BLAS's
+    # transposed product rounds each column alike at every width.  A BLAS
+    # that breaks this fails here by name
+    classes, _ = modes._hopping_eigenbases(n)
+    rng = np.random.default_rng(700 + n)
+    for rows in widths:
+        for vecs in classes:
+            count, s = vecs.shape[:2]
+            block = rng.normal(size=(count, s, 2 * rows))
+            wide = np.matmul(vecs.transpose(0, 2, 1), block)
+            each = np.matmul(vecs.transpose(0, 2, 1), block.reshape(count, s, rows, 2).transpose(2, 0, 1, 3))
+            assert wide.reshape(count, s, rows, 2).transpose(2, 0, 1, 3).tobytes() == each.tobytes(), (rows, s)
+
+
 @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 45, 63, 64, 65, 90, 150])
 def test_eigenbasis_classes_keep_the_padded_bits(n):
     # each side of a class edge (16, 32, 64)
     rng = np.random.default_rng(500 + n)
     lift = lift_to_fock(haar_unitary(rng), n)
     vecs = padded_eigenbases(n)
-    for rows in (1, 7):
+    for rows in (1, 7, fringe_block_rows(n)):
         x = rng.normal(size=(rows, dimension(n))) + 1j * rng.normal(size=(rows, dimension(n)))
         for sweep in (lift.forward, lift.adjoint):
             assert sweep.apply(x).tobytes() == padded_apply(sweep, vecs, x).tobytes(), rows

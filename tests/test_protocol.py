@@ -338,12 +338,16 @@ def test_cached_per_n_arrays_are_read_only():
 
 def test_sweep_and_readout_share_one_cached_table():
     # the sweep, its series and the extremal readout all read one conjugated
-    # table per n, conjugated in place from a fresh extremal_columns(n)
+    # table per n, conjugated in place from a fresh extremal_columns(n).  A
+    # caller who alternates n, with the sweep inputs of the first n still
+    # cached, then holds one table of that n, not two
     n = 30
-    protocol._sweep_inputs.cache_clear()
-    modes._extremal_readout.cache_clear()
-    readout = protocol._sweep_inputs(n)[3]
-    assert modes._extremal_readout(n) is readout
+    protocol._sweep_inputs(n)
+    first = weakref.ref(modes._extremal_readout(n))
+    run_protocol(60)
+    assert first() is None, "a second reference keeps the N = 30 table of the first call alive"
+    run_protocol(30)
+    readout = modes._extremal_readout(n)
     assert readout.shape == (dimension(n), 3) and readout.flags.c_contiguous and not readout.flags.writeable
     kets = modes.extremal_columns(n)
     assert kets is not modes.extremal_columns(n)

@@ -2,6 +2,7 @@
 
     python3 tools/bench_record.py record [--root CHECKOUT]
     python3 tools/bench_record.py compare OLD.json NEW.json
+    python3 tools/bench_record.py pairs --old DIR --new DIR --workload W --seeds A-B [--seconds T]
 
 ``record`` runs ``python3 ringbench/run.py --workload W --seed S --seconds T
 --trace 0`` unchanged in CHECKOUT (default: the checkout holding this
@@ -15,8 +16,13 @@ facts, the git revision and whether the checkout had uncommitted changes.
 
 ``compare`` prints each metric's change of median.  It says whether the
 medians differ by more than OLD's quartile spread, and whether NEW is worse
-than OLD by more than the metric's relative bound in BENCHMARK.json.  Stdlib
-only.
+than OLD by more than the metric's relative bound in BENCHMARK.json.
+
+``pairs`` runs the same run.py command in two checkouts, once per seed from
+A to B, alternating which checkout runs first.  It prints each pair, then
+per end-to-end metric each side's median and quartiles, in how many pairs
+NEW was better, and whether the medians differ by more than OLD's quartile
+spread.  T defaults to ``run_seconds``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -103,6 +109,39 @@ def compare(old_path: Path, new_path: Path) -> None:
                   f"worse than bound {metric['bound']:.0%}: {'YES' if worse > metric['bound'] else 'no'}")
 
 
+def pairs(old_root: Path, new_root: Path, workload: str, seeds: range, seconds: float) -> None:
+    spec = json.loads((HOME / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+    runs: dict[str, list[dict]] = {"old": [], "new": []}
+    for i, seed in enumerate(seeds):
+        order = [("old", old_root), ("new", new_root)]
+        for side, root in order[:: 1 if i % 2 == 0 else -1]:
+            result = run_once(root, workload, seed, seconds)[1]
+            if result["failed"]:
+                print(f"  {side} seed {seed}: {result['failed']} of {result['attempted']} commands failed")
+            runs[side].append(result["metrics"])
+        print(f"seed {seed} ({order[i % 2][0]} first): " + ", ".join(
+            f"{m['name']} {runs['old'][-1][m['name']]['value']:.4g} -> {runs['new'][-1][m['name']]['value']:.4g}"
+            for m in metrics), flush=True)
+    for metric in metrics:
+        name = metric["name"]
+        old, new = ([r[name]["value"] for r in runs[side]] for side in ("old", "new"))
+        a, b = summary(old), summary(new)
+        wins = sum((y < x) if metric["better"] == "lower" else (y > x) for x, y in zip(old, new))
+        print(f"{name:12s} old {a['median']:.4g} [{a['q1']:.4g}, {a['q3']:.4g}], "
+              f"new {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] {metric['unit']}, "
+              f"{(b['median'] - a['median']) / a['median']:+.2%}; new better in {wins} of {len(old)} pairs; "
+              f"beyond old quartile spread: {'yes' if abs(b['median'] - a['median']) > a['q3'] - a['q1'] else 'no'}")
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"need at least two seeds, got {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="action", required=True)
@@ -111,11 +150,20 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare two BENCH files")
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
+    p = sub.add_parser("pairs", help="run alternating pairs of the two checkouts on one workload")
+    p.add_argument("--old", type=Path, required=True, help="the checkout to compare against")
+    p.add_argument("--new", type=Path, required=True, help="the checkout with the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=seed_range, required=True, help="A-B, at least two seeds")
+    p.add_argument("--seconds", type=float, help="run.py's --seconds (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.action == "record":
         print(f"wrote {record(args.root.resolve())}")
-    else:
+    elif args.action == "compare":
         compare(args.old, args.new)
+    else:
+        seconds = args.seconds or json.loads((HOME / "BENCHMARK.json").read_text())["run_seconds"]
+        pairs(args.old.resolve(), args.new.resolve(), args.workload, args.seeds, seconds)
     return 0
 
 
