@@ -207,8 +207,9 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     # the lift's two gather arrays, shared by every block.  One-row blocks
-    # (n >= 90) gather into fresh arrays, as a one-point lift does: there the
-    # pair, held through the norm checks' temporaries, would raise the peak
+    # (n >= 90) gather into fresh arrays, as a one-point lift does: held
+    # through the norm checks' temporaries, the pair raised the scan's traced
+    # peak by 8-10 % at n = 90 and 150 (peak RSS moved by under 0.1 MB)
     work = tuple(np.empty((n + 1) ** 2 * rows, dtype=np.complex128) for _ in range(2)) if rows > 1 else None
     for lo in range(0, xi_values.size, rows):
         # exp in place, and held dropped after the lift, so that a block's

@@ -176,31 +176,31 @@ def _gathers(n: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _rotate(classes: tuple[np.ndarray, ...], turn: np.ndarray, y: np.ndarray, spare: np.ndarray | None) -> None:
+def _rotate(classes: tuple[np.ndarray, ...], turn: np.ndarray, y: np.ndarray, spare: np.ndarray) -> None:
     """Rotate the slot-major y, shape ((n+1)^2, m), in place, block K by block K.
 
     The leading s slots of block K are an (s, 2m) float matrix in the real
     view, one (s, 2) column pair per state.  Each eigenbasis class makes
     two products, with its (s, s) eigenbases transposed and then as
     stored, and multiplies ``turn`` in between.  The transposed product
-    takes the whole block in one BLAS call per K: the transpose is a view,
-    BLAS reads it with its trans flag, and that product gives each column
-    the same bits at every width.  It goes to ``spare``, an array of y's
-    size whose contents are not needed, or to a fresh array if that is
-    None.  The second product stays one (s, s) @ (s, 2) call per state and
-    K, since its bits do depend on the width (up to 1.3e-15 at some sizes
-    s).  Slots past a class's s are empty and stay zero.
+    takes the whole block in one BLAS call per K (the transpose is a view
+    that BLAS reads with its trans flag), which gives each column the same
+    bits at every width.  It goes to ``spare``, the C-order array y was
+    gathered from, so no array of a class's size is allocated.  The second
+    product stays one (s, s) @ (s, 2) call per state and K, since its bits
+    depend on the width (up to 1.3e-15 at some s).  Slots past a class's s
+    are empty and stay zero.
     """
     rows = y.shape[1]
     side = classes[-1].shape[1]
     wide = y.view(np.float64).reshape(side, side, 2 * rows)
     each = wide.reshape(side, side, rows, 2).transpose(0, 2, 1, 3)
-    spare = None if spare is None else spare.view(np.float64).reshape(-1)
+    spare = spare.view(np.float64).reshape(-1)
     lo = 0
     for vecs in classes:
         count, s = vecs.shape[:2]
-        v = None if spare is None else spare[: count * s * 2 * rows].reshape(count, s, 2 * rows)
-        v = np.matmul(vecs.transpose(0, 2, 1), wide[lo : lo + count, :s], out=v)
+        v = spare[: count * s * 2 * rows].reshape(count, s, 2 * rows)
+        np.matmul(vecs.transpose(0, 2, 1), wide[lo : lo + count, :s], out=v)
         w = v.view(np.complex128)
         w *= turn[lo : lo + count, :s]
         v = v.reshape(count, s, rows, 2).transpose(0, 2, 1, 3)
@@ -237,33 +237,32 @@ class _Sweep:
     def apply(self, x: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Act on the rows of x, shape (m, dim): one state per row.
 
-        Each of the four steps gathers the slot-major (slots, m) array of
-        the previous layout, slots = (n+1)^2, into the next layout and
+        The rows start in a slot-major (slots, m) array, slots = (n+1)^2.
+        Each of the four steps gathers it into the next layout and
         multiplies its phases; each of the first three then rotates it (see
-        ``_rotate``).  A row gets the same bits alone as in any stack.
+        ``_rotate``), with the array it was gathered from as the spare.  A
+        row gets the same bits alone as in any stack.
 
         ``work`` is two flat complex arrays of at least slots * m entries,
-        for a caller that applies many stacks.  The gathers then alternate
-        between the two, each rotation keeps its products in the one it was
-        gathered from, and the result is a view of one of them, valid until
-        the next call with them: no slot-major array is allocated.  Without
-        ``work`` each step makes fresh arrays, as one-off callers need, with
-        at most two slot-major arrays alive at once.  Either way the result
-        is the transposed view of a slot-major array.
+        for a caller that applies many stacks: the gathers alternate between
+        them, so no slot-major array is allocated, and the result is a view
+        valid until the next call with them.  Without it each gather makes a
+        fresh array, with at most two alive at once.  The two modes differ
+        in the gather only.  The result is the transposed view of either.
         """
         n = self.n
         classes, _ = _hopping_eigenbases(n)
         rows, dim = x.shape
         bufs = None if work is None else [w[: (n + 1) ** 2 * rows].reshape(-1, rows) for w in work]
-        y = np.empty((dim + 1, rows), dtype=np.complex128) if bufs is None else bufs[0]
+        y = np.empty(((n + 1) ** 2, rows), dtype=np.complex128) if bufs is None else bufs[0]
         y[:dim] = x.T
-        y[dim:] = 0  # the first gather reads row dim for every empty slot
+        y[dim : dim + 1] = 0  # the first gather reads row dim (none at n = 0) for every empty slot
         steps = zip(_gathers(n), self.phases, self.turns + (None,))
         for i, (gather, phase, turn) in enumerate(steps):
+            spare = y
             if bufs is None:
-                y, spare = y[gather], None
+                y = spare[gather]
             else:  # mode="clip" lets take write into its out; "raise" would copy
-                spare = y
                 y = np.take(spare, gather, axis=0, out=bufs[(i + 1) % 2][: gather.size], mode="clip")
             y *= phase[:, None]
             if turn is not None:

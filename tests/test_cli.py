@@ -261,6 +261,19 @@ def test_exit_code_invalid_config(tmp_path, capsys):
     assert run_cli("cat", "--n", "0", "--out", str(tmp_path / "y.csv")) == 2
     assert run_cli("ground", "--n", "2", "--out", str(tmp_path / "no" / "dir.csv")) == 2
     capsys.readouterr()
+    for argv in [
+        ("cattiness-sweep", "--n-min", "5", "--n-max", "3"),
+        ("calibrate-u", "--n", "6", "--grid", "2"),
+        ("calibrate-u", "--n", "6", "--theta-min-pi", "0.8", "--theta-max-pi", "0.7"),
+        ("fringes", "--n", "3", "--grid", "1"),
+        ("fringes", "--n", "3", "--xi", "0"),
+        ("fringes", "--n", "3", "--dt", "-1"),
+    ]:
+        assert run_cli(*argv, "--out", str(tmp_path / "z.csv")) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, argv
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("ringcat: "), argv
+    assert not (tmp_path / "z.csv").exists()
 
 
 def test_exit_code_physics_precondition(tmp_path, capsys):
@@ -467,6 +480,11 @@ def assert_refused_at_parse(capsys, *argv):
 def test_timing_n_list_is_refused_at_parse(value, capsys):
     line = assert_refused_at_parse(capsys, "timing", "--n", value)
     assert line.endswith(f"argument --n: not a comma-separated list of integers: {value!r}"), line
+
+
+def test_non_numeric_c_target_is_refused_at_parse(capsys):
+    line = assert_refused_at_parse(capsys, "timing", "--n", "3", "--c-target", "abc")
+    assert line.endswith("argument --c-target: not a number: 'abc'"), line
 
 
 def test_zero_denominator_angle_is_refused(tmp_path, capsys):

@@ -121,6 +121,16 @@ def test_lift_of_identity_is_identity():
         assert np.array_equal(m, np.eye(dimension(n)))
 
 
+def test_lift_of_a_mode_swap_permutes_the_occupations():
+    # m[0, 0] = 0: the second Givens step takes its zero-pivot branch
+    swap = np.eye(3)[[1, 0, 2]]
+    assert modes._givens_factors(swap)[0][1] == pytest.approx(math.pi / 2)
+    for n in range(31):
+        occ = enumerate_basis(n)
+        swapped = np.eye(dimension(n))[:, [rank((q, p, r)) for p, q, r in occ]]
+        assert np.max(np.abs(lift_to_fock(swap, n).matrix - swapped)) < 1e-12, n
+
+
 def test_lift_composition_homomorphism():
     rng = np.random.default_rng(17)
     for _ in range(3):
@@ -212,10 +222,15 @@ def test_lift_round_trip_between_representations():
     n = 7
     held = evolve_interaction_phase(superfluid_ground_state(n), 0.8)
     lift = dft_lift(n)
-    back = lift.to_site(lift.to_momentum(held))
+    momentum = lift.to_momentum(held)
+    back = lift.to_site(momentum)
     assert np.max(np.abs(back.amps - held.amps)) < 1e-12
     with pytest.raises(ValueError):
-        lift.to_momentum(lift.to_momentum(held))
+        lift.to_momentum(momentum)
+    with pytest.raises(ValueError):
+        lift.to_site(held)
+    # a momentum state's distribution is its own |a|^2, with no lift
+    assert momentum_distribution(momentum).tobytes() == (np.abs(momentum.amps) ** 2).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 6, 30])

@@ -383,22 +383,65 @@ def test_calibration_rejects_edge_maximum():
     # a repeated best sample leaves no strict bracket around the peak
     with pytest.raises(BracketError):
         calibrate_u(6, [1.0, CAT_HOLD_PHASE, CAT_HOLD_PHASE, 3.0])
+    # a one-point tie on the right with no sample past it to widen to (the
+    # samples about the peak of the 62-point grid in the scipy test)
+    thetas = np.linspace(0.5 * math.pi, 5.0 * math.pi / 6.0, 62)[29:32]
+    with pytest.raises(BracketError, match="not strictly above both neighbours"):
+        calibrate_u(6, thetas)
+    # and a widened side that is still not below the best
+    values = {0.0: 0.0, 1.0: 1.0, 2.0: 1.0, 3.0: 2.0}
+    with pytest.raises(BracketError, match="not strictly above both neighbours"):
+        protocol._golden_maximum(values.__getitem__, list(values), 1)
 
 
-def test_calibration_matches_scipy_golden_section_bit_for_bit():
+def scipy_golden(n, bracket):
+    """scipy's golden section for the cattiness peak of n on a three-point bracket: (x, f calls)."""
     minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    reference = minimize_scalar(
+        lambda t: -cattiness_curve(n, np.array([t]))[0], bracket=bracket, method="golden", options={"xtol": 1e-12}
+    )
+    return float(reference.x), reference.nfev
+
+
+def test_calibration_matches_scipy_golden_section_bit_for_bit(monkeypatch):
+    # the search also takes scipy's steps: scipy evaluates the bracket's
+    # middle twice, so the search makes one f call fewer, or as many when it
+    # widened the bracket by one sample
+    sizes = []
+
+    def counted(n, thetas):
+        sizes.append(thetas.size)
+        return cattiness_curve(n, thetas)
+
+    monkeypatch.setattr(protocol, "cattiness_curve", counted)
+
+    def check(n, samples, bracket, widened=False):
+        sizes.clear()
+        star = calibrate_u(n, samples)
+        x, calls = scipy_golden(n, bracket)
+        assert (star, sizes.count(1)) == (x, calls - 1 + widened), f"n={n}, {samples}"
+
     # the default bracket of the calibrate-u command
     thetas = np.linspace(0.5 * math.pi, 5.0 * math.pi / 6.0, 121)
     for n in (3, 6, 30, 90):
         values = cattiness_curve(n, thetas)
         best = int(np.argmax(values))
-        reference = minimize_scalar(
-            lambda t: -cattiness_curve(n, np.array([t]))[0],
-            bracket=(thetas[best - 1], thetas[best], thetas[best + 1]),
-            method="golden",
-            options={"xtol": 1e-12},
-        )
-        assert calibrate_u(n, thetas) == float(reference.x), f"n={n}"
+        check(n, thetas, tuple(thetas[best - 1 : best + 2]))
+        # five samples about the peak, gaps a fraction of its 1/n width, with
+        # the wider gap on the right: the search's first step goes right
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            left, right = np.sort(rng.uniform(0.1, 0.6, 2)) / n
+            samples = CAT_HOLD_PHASE + rng.uniform(-0.02, 0.02) / n + np.array([-2 * left, -left, 0, right, 2 * right])
+            assert right > left and np.argmax(cattiness_curve(n, samples)) == 2
+            check(n, samples, tuple(samples[1:4]))
+    # on this even grid the two samples about the peak differ by one ulp on
+    # the grid, and a one-point cattiness ties them, so the bracket widens to
+    # the next sample on the right and the search starts on its wider side
+    thetas = np.linspace(0.5 * math.pi, 5.0 * math.pi / 6.0, 62)
+    best = int(np.argmax(cattiness_curve(6, thetas)))
+    assert cattiness_curve(6, thetas[best + 1 : best + 2])[0] >= cattiness_curve(6, thetas[best : best + 1])[0]
+    check(6, thetas, (thetas[best - 1], thetas[best], thetas[best + 2]), widened=True)
 
 
 def test_import_pulls_in_neither_scipy_nor_numba():

@@ -3,6 +3,7 @@
     python3 tools/bench_record.py record [--root CHECKOUT]
     python3 tools/bench_record.py compare OLD.json NEW.json
     python3 tools/bench_record.py pairs --old DIR --new DIR --workload W --seeds A-B [--seconds T]
+    python3 tools/bench_record.py bytes --old DIR --new DIR [--seeds A-B]
 
 ``record`` runs ``python3 ringbench/run.py --workload W --seed S --seconds T
 --trace 0`` unchanged in CHECKOUT (default: the checkout holding this
@@ -22,20 +23,36 @@ than OLD by more than the metric's relative bound in BENCHMARK.json.
 A to B, alternating which checkout runs first.  It prints each pair, then
 per end-to-end metric each side's median and quartiles, in how many pairs
 NEW was better, and whether the medians differ by more than OLD's quartile
-spread.  T defaults to ``run_seconds``.  Stdlib only.
+spread.  T defaults to ``run_seconds``.
+
+``bytes`` checks that two checkouts give the same output.  It takes every
+command of OLD's ``tests/golden.json``, the README commands and each
+workload's commands for seeds A to B (default 1-5) from OLD's
+``ringbench/run.py``, imported as it is, and ``LARGE_N``.  Each one runs as ``python -m ringcat.cli ARGS`` in both checkouts, every run in a
+fresh temporary directory.  It lists each command whose stdout, stderr, exit
+code or written files differ by a byte, and exits 1 if there is any.
+Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
+import random
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HOME = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 4, 5)
+# large-N lifts and one-row fringe scans, on small grids
+LARGE_N = ("cat --n 150", "cat --n 300", "cat --n 450", "fringes --n 90 --grid 16", "fringes --n 150 --grid 16",
+           "fringes --n 180 --grid 16", "fringes --n 300 --grid 8")
 
 
 def git(root: Path, *args: str) -> str:
@@ -134,6 +151,47 @@ def pairs(old_root: Path, new_root: Path, workload: str, seeds: range, seconds: 
               f"beyond old quartile spread: {'yes' if abs(b['median'] - a['median']) > a['q3'] - a['q1'] else 'no'}")
 
 
+def bench_commands(root: Path, seeds: range) -> list[tuple[str, ...]]:
+    """The golden commands, the README commands and each workload's commands per seed, each once, in order."""
+    sys.path.insert(0, str(root / "ringbench"))  # run.py imports checks.py as a top-level module
+    sys.dont_write_bytecode = True  # leave ringbench/ as it is
+    spec = importlib.util.spec_from_file_location("ringbench_run", root / "ringbench" / "run.py")
+    run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up there
+    spec.loader.exec_module(run)
+    golden = json.loads((root / "tests" / "golden.json").read_text())["outputs"]
+    commands = [tuple(shlex.split(line)) for line in golden]
+    commands += [tuple(shlex.split(line)[1:]) for line in run.README_COMMANDS.splitlines()]
+    for seed in seeds:
+        for workload in run.WORKLOADS.values():
+            commands += [cmd.args for cmd in workload(random.Random(seed))]
+    return list(dict.fromkeys(commands))
+
+
+def run_in_temp(root: Path, args: tuple[str, ...]) -> dict:
+    """Exit code, stdout, stderr and every written file of one CLI run in a fresh directory."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}:{path}" if path else str(root / "src"))
+    with tempfile.TemporaryDirectory(prefix="bench_bytes_") as tmp:
+        proc = subprocess.run([sys.executable, "-m", "ringcat.cli", *args], cwd=tmp, env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True)
+        files = {str(f.relative_to(tmp)): f.read_bytes() for f in sorted(Path(tmp).rglob("*")) if f.is_file()}
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files}
+
+
+def same_bytes(old_root: Path, new_root: Path, seeds: range) -> int:
+    commands = bench_commands(old_root, seeds) + [tuple(shlex.split(line)) for line in LARGE_N]
+    mismatches = 0
+    for args in commands:
+        old, new = run_in_temp(old_root, args), run_in_temp(new_root, args)
+        differ = [key for key in old if old[key] != new[key]]
+        mismatches += bool(differ)
+        verdict = f"MISMATCH in {', '.join(differ)}" if differ else "same bytes"
+        print(f"ringcat {shlex.join(args)}: exit {old['exit code']}, {len(old['stdout'])} B stdout, "
+              f"{len(old['files'])} files; {verdict}", flush=True)
+    print(f"{mismatches} of {len(commands)} commands differ")
+    return 1 if mismatches else 0
+
+
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     seeds = range(int(first), int(last or first) + 1)
@@ -156,7 +214,13 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=seed_range, required=True, help="A-B, at least two seeds")
     p.add_argument("--seconds", type=float, help="run.py's --seconds (default: BENCHMARK.json's run_seconds)")
+    p = sub.add_parser("bytes", help="check that two checkouts write the same bytes for the benchmark's commands")
+    p.add_argument("--old", type=Path, required=True, help="the checkout to compare against")
+    p.add_argument("--new", type=Path, required=True, help="the checkout with the change")
+    p.add_argument("--seeds", type=seed_range, default=range(SEEDS[0], SEEDS[-1] + 1), help="A-B (default 1-5)")
     args = parser.parse_args(argv)
+    if args.action == "bytes":
+        return same_bytes(args.old.resolve(), args.new.resolve(), args.seeds)
     if args.action == "record":
         print(f"wrote {record(args.root.resolve())}")
     elif args.action == "compare":
