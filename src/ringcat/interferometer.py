@@ -25,7 +25,7 @@ import numpy as np
 
 from .evolution import _interaction_phases, evolve_interaction_phase
 from .hamiltonian import _mode_energies
-from .modes import _extremal_readout, dft_lift, extremal_columns
+from .modes import _extremal_readout, dft_lift
 from .protocol import CAT_HOLD_PHASE, _require_cat_number, run_protocol
 from .state import Representation, StateVector, _check_norms
 
@@ -136,12 +136,11 @@ def protocol_subspace_matrix(n: int, theta: float) -> np.ndarray:
     summary of the hold when the leakage out of the subspace vanishes,
     which the tests check rather than assume.
     """
-    cols = extremal_columns(n)
+    readout = _extremal_readout(n).T
     out = np.empty((3, 3), dtype=np.complex128)
     for m in range(3):
-        ket = StateVector(n, Representation.SITE, cols[:, m])
-        evolved = evolve_interaction_phase(ket, theta)
-        out[:, m] = cols.conj().T @ evolved.amps
+        ket = StateVector(n, Representation.SITE, readout[m].conj())
+        out[:, m] = readout @ evolve_interaction_phase(ket, theta).amps
     return out
 
 
@@ -206,11 +205,9 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     readout = _extremal_readout(n).T
     rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
-    # the lift's two gather arrays, shared by every block.  One-row blocks
-    # (n >= 90) gather into fresh arrays, as a one-point lift does: held
-    # through the norm checks' temporaries, the pair raised the scan's traced
-    # peak by 8-10 % at n = 90 and 150 (peak RSS moved by under 0.1 MB)
-    work = tuple(np.empty((n + 1) ** 2 * rows, dtype=np.complex128) for _ in range(2)) if rows > 1 else None
+    # the lift's two gather arrays, held for the whole grid: every block's
+    # gathers alternate between them, one row per block or many
+    work = tuple(np.empty((n + 1) ** 2 * rows, dtype=np.complex128) for _ in range(2))
     for lo in range(0, xi_values.size, rows):
         # exp in place, and held dropped after the lift, so that a block's
         # phases stack on no other complex temporary of their size

@@ -144,17 +144,17 @@ def run_protocol(n: int, theta: float = CAT_HOLD_PHASE) -> ProtocolResult:
 
 @lru_cache(maxsize=1)
 def _sweep_inputs(n: int):
-    """Per-n sweep inputs: ``ground``, ``uhalf`` and ``where``.
+    """Per-n sweep inputs: ``uhalf`` and ``where``.
 
     ``uhalf`` holds the distinct half pair counts and ``uhalf[where]`` is the
-    half pair count of every ket.  The readout table is not among them: its
-    users read ``modes._extremal_readout(n)``, so one table per n is alive.
+    half pair count of every ket.  The ground and the readout table are not
+    among them: their users read ``basis.multinomial_amplitudes(n)`` and
+    ``modes._extremal_readout(n)``, so one of each per n is alive.
     """
-    ground = multinomial_amplitudes(n)
     uhalf, where = np.unique(0.5 * pair_counts(n).astype(np.float64), return_inverse=True)
     for a in (uhalf, where):
         a.setflags(write=False)
-    return ground, uhalf, where
+    return uhalf, where
 
 
 def _sweep_pieces(rows: int, dim: int) -> int:
@@ -198,7 +198,8 @@ def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got {n}")
-    ground, uhalf, where = _sweep_inputs(n)
+    uhalf, where = _sweep_inputs(n)
+    ground = multinomial_amplitudes(n)
     wconj = _extremal_readout(n)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty((thetas.size, 3), dtype=np.float64)
@@ -227,9 +228,9 @@ def _series_coefficients(n: int) -> np.ndarray:
     pair count is ``uhalf[m]``, so the extremal amplitudes at hold phase
     theta are b @ exp(-1j * theta * uhalf): one term per distinct pair count.
     """
-    ground, uhalf, where = _sweep_inputs(n)
+    uhalf, where = _sweep_inputs(n)
     b = np.zeros((3, uhalf.size), dtype=np.complex128)
-    np.add.at(b.T, where, ground[:, None] * _extremal_readout(n))
+    np.add.at(b.T, where, multinomial_amplitudes(n)[:, None] * _extremal_readout(n))
     b.setflags(write=False)
     return b
 
@@ -267,7 +268,7 @@ def _series_products(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray
     so a small target stays on the series.  A non-uniform grid gets a large
     d and with it a wide, still valid, margin.
     """
-    uhalf = _sweep_inputs(n)[1]
+    uhalf = _sweep_inputs(n)[0]
     rows = thetas.size
     h = (thetas[-1] - thetas[0]) / (rows - 1) if rows > 1 else 0.0
     fine = np.arange(min(rows, _SERIES_FINE)) * h

@@ -200,6 +200,29 @@ def test_scan_lifts_the_cat_to_momentum_once(monkeypatch):
         assert tuple(row) == full_simulation_fringes(30, 0.2, float(xi), 1.1), f"xi={xi}"
 
 
+@pytest.mark.parametrize("n", [30, 90, 180])
+def test_every_scan_block_gathers_into_one_work_pair(monkeypatch, n):
+    # one-row blocks (n >= 90) take the same memory path as multi-row ones:
+    # every block's lift gathers into the two work arrays the scan holds for
+    # the whole grid, a partial last block included
+    seen = []
+    to_site_rows = FockLift.to_site_rows
+
+    def recorded(self, amps, work=None):
+        seen.append(work)
+        return to_site_rows(self, amps, work)
+
+    monkeypatch.setattr(FockLift, "to_site_rows", recorded)
+    rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
+    fringe_scan(n, 0.2, np.linspace(0.0, 2.0 * math.pi / n, 2 * rows + 1), 1.1)
+    assert len(seen) == 3
+    first = seen[0]
+    assert first is not None and len(first) == 2 and first[0] is not first[1]
+    assert all(a.size >= (n + 1) ** 2 * rows for a in first)
+    for work in seen:
+        assert work is not None and work[0] is first[0] and work[1] is first[1]
+
+
 def test_sensing_hold_phases_match_the_dense_propagator():
     # the scan applies the mode-energy phases directly; the dense reference
     # propagator on the same Hamiltonian must give the same readout

@@ -338,14 +338,18 @@ def test_cached_per_n_arrays_are_read_only():
 
 def test_sweep_and_readout_share_one_cached_table():
     # the sweep, its series and the extremal readout all read one conjugated
-    # table per n, conjugated in place from a fresh extremal_columns(n).  A
-    # caller who alternates n, with the sweep inputs of the first n still
-    # cached, then holds one table of that n, not two
+    # table per n, conjugated in place from a fresh extremal_columns(n), and
+    # one cached ground.  A caller who alternates n, with the sweep inputs of
+    # the first n still cached, then holds one table and one ground of that
+    # n, not two
     n = 30
+    protocol._sweep_inputs.cache_clear()
     protocol._sweep_inputs(n)
     first = weakref.ref(modes._extremal_readout(n))
+    ground = weakref.ref(basis.multinomial_amplitudes(n))  # the one the sweep inputs were built beside
     run_protocol(60)
     assert first() is None, "a second reference keeps the N = 30 table of the first call alive"
+    assert ground() is None, "a second reference keeps the N = 30 ground of the first call alive"
     run_protocol(30)
     readout = modes._extremal_readout(n)
     assert readout.shape == (dimension(n), 3) and readout.flags.c_contiguous and not readout.flags.writeable
@@ -616,7 +620,7 @@ def test_sweep_keeps_the_cap_rule_above_n_124():
 
 def test_sweep_exponentiates_distinct_pair_counts_only():
     for n, distinct in ((30, 64), (90, 437)):
-        uhalf = protocol._sweep_inputs(n)[1]
+        uhalf = protocol._sweep_inputs(n)[0]
         assert uhalf.size == distinct < dimension(n)
 
 

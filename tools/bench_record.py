@@ -4,6 +4,7 @@
     python3 tools/bench_record.py compare OLD.json NEW.json
     python3 tools/bench_record.py pairs --old DIR --new DIR --workload W --seeds A-B [--seconds T]
     python3 tools/bench_record.py bytes --old DIR --new DIR [--seeds A-B]
+    python3 tools/bench_record.py rss --old DIR --new DIR [--runs K]
 
 ``record`` runs ``python3 ringbench/run.py --workload W --seed S --seconds T
 --trace 0`` unchanged in CHECKOUT (default: the checkout holding this
@@ -31,6 +32,11 @@ workload's commands for seeds A to B (default 1-5) from OLD's
 ``ringbench/run.py``, imported as it is, and ``LARGE_N``.  Each one runs as ``python -m ringcat.cli ARGS`` in both checkouts, every run in a
 fresh temporary directory.  It lists each command whose stdout, stderr, exit
 code or written files differ by a byte, and exits 1 if there is any.
+
+``rss`` runs each ``LARGE_N`` command K times (default 5) in both checkouts,
+the same way, alternating which checkout runs first.  Per command it prints
+each side's median and quartiles of peak RSS (``os.wait4``'s
+``ru_maxrss``) and of wall time, and the change of the RSS median.
 Stdlib only.
 """
 
@@ -46,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HOME = Path(__file__).resolve().parents[1]
@@ -167,12 +174,15 @@ def bench_commands(root: Path, seeds: range) -> list[tuple[str, ...]]:
     return list(dict.fromkeys(commands))
 
 
+def cli_env(root: Path) -> dict[str, str]:
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=f"{root / 'src'}:{path}" if path else str(root / "src"))
+
+
 def run_in_temp(root: Path, args: tuple[str, ...]) -> dict:
     """Exit code, stdout, stderr and every written file of one CLI run in a fresh directory."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}:{path}" if path else str(root / "src"))
     with tempfile.TemporaryDirectory(prefix="bench_bytes_") as tmp:
-        proc = subprocess.run([sys.executable, "-m", "ringcat.cli", *args], cwd=tmp, env=env,
+        proc = subprocess.run([sys.executable, "-m", "ringcat.cli", *args], cwd=tmp, env=cli_env(root),
                               stdin=subprocess.DEVNULL, capture_output=True)
         files = {str(f.relative_to(tmp)): f.read_bytes() for f in sorted(Path(tmp).rglob("*")) if f.is_file()}
     return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files}
@@ -192,12 +202,49 @@ def same_bytes(old_root: Path, new_root: Path, seeds: range) -> int:
     return 1 if mismatches else 0
 
 
+def peak_rss(root: Path, args: tuple[str, ...]) -> tuple[float, float]:
+    """Peak RSS in MB and wall time in s of one CLI run in a fresh directory, output discarded."""
+    with tempfile.TemporaryDirectory(prefix="bench_rss_") as tmp:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "ringcat.cli", *args], cwd=tmp, env=cli_env(root),
+                                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise SystemExit(f"ringcat {shlex.join(args)} exited {proc.returncode} in {root}")
+    return usage.ru_maxrss / 1024.0, wall
+
+
+def rss(old_root: Path, new_root: Path, runs: int) -> None:
+    order = [("old", old_root), ("new", new_root)]
+    for line in LARGE_N:
+        args = tuple(shlex.split(line))
+        measured: dict[str, list[tuple[float, float]]] = {"old": [], "new": []}
+        for i in range(runs):
+            for side, root in order[:: 1 if i % 2 == 0 else -1]:
+                measured[side].append(peak_rss(root, args))
+        stats = {side: [summary([m[k] for m in values]) for k in (0, 1)] for side, values in measured.items()}
+        (a, wa), (b, wb) = stats["old"], stats["new"]
+        print(f"ringcat {line}: peak RSS old {a['median']:.2f} [{a['q1']:.2f}, {a['q3']:.2f}], "
+              f"new {b['median']:.2f} [{b['q1']:.2f}, {b['q3']:.2f}] MB ({b['median'] - a['median']:+.2f}); "
+              f"wall old {wa['median']:.3f} [{wa['q1']:.3f}, {wa['q3']:.3f}], "
+              f"new {wb['median']:.3f} [{wb['q1']:.3f}, {wb['q3']:.3f}] s", flush=True)
+
+
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     seeds = range(int(first), int(last or first) + 1)
     if len(seeds) < 2:
         raise argparse.ArgumentTypeError(f"need at least two seeds, got {text!r}")
     return seeds
+
+
+def run_count(text: str) -> int:
+    runs = int(text)
+    if runs < 2:
+        raise argparse.ArgumentTypeError(f"need at least two runs, got {text!r}")
+    return runs
 
 
 def main(argv=None) -> int:
@@ -218,6 +265,10 @@ def main(argv=None) -> int:
     p.add_argument("--old", type=Path, required=True, help="the checkout to compare against")
     p.add_argument("--new", type=Path, required=True, help="the checkout with the change")
     p.add_argument("--seeds", type=seed_range, default=range(SEEDS[0], SEEDS[-1] + 1), help="A-B (default 1-5)")
+    p = sub.add_parser("rss", help="compare the peak RSS and wall time of the large-N commands in two checkouts")
+    p.add_argument("--old", type=Path, required=True, help="the checkout to compare against")
+    p.add_argument("--new", type=Path, required=True, help="the checkout with the change")
+    p.add_argument("--runs", type=run_count, default=5, help="runs per command and checkout, at least two (default 5)")
     args = parser.parse_args(argv)
     if args.action == "bytes":
         return same_bytes(args.old.resolve(), args.new.resolve(), args.seeds)
@@ -225,6 +276,8 @@ def main(argv=None) -> int:
         print(f"wrote {record(args.root.resolve())}")
     elif args.action == "compare":
         compare(args.old, args.new)
+    elif args.action == "rss":
+        rss(args.old.resolve(), args.new.resolve(), args.runs)
     else:
         seconds = args.seconds or json.loads((HOME / "BENCHMARK.json").read_text())["run_seconds"]
         pairs(args.old.resolve(), args.new.resolve(), args.workload, args.seeds, seconds)
