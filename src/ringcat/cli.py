@@ -17,8 +17,8 @@ A reader closing stdout early (``ringcat ... | head``) ends the run with 0.
 
 So are settings whose estimated peak memory exceeds ``SIZE_BUDGET`` (1 GiB):
 each command sums, in closed form and before any array work, the arrays it
-holds at its peak (see ``_footprint``).  README lists the largest N each
-command accepts.
+holds at its peak (see ``_footprint``), each engine's arrays counted by the
+module that allocates them.  README lists the largest N each command accepts.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ import sys
 import numpy as np
 
 from .basis import dimension, enumerate_basis
-from .interferometer import _BLOCK_BYTES, fringe_scan
-from .modes import _CLASS_SIZE, _require_finite_columns, momentum_distribution
+from .interferometer import _scan_bytes, fringe_scan
+from .modes import _lift_bytes, _require_finite_columns, momentum_distribution
 from .protocol import (
-    _SWEEP_CHUNK,
     CAT_HOLD_PHASE,
     PhysicsError,
     _calibrate_on_grid,
     _require_cat_number,
-    _sweep_buffer_rows,
+    _sweep_bytes,
+    _timing_bytes,
     cattiness_sweep,
     run_protocol,
     timing_tolerance,
@@ -129,34 +129,31 @@ def _check_phase(setting: str, phase: float) -> None:
 def _footprint(args, n: int) -> dict[str, int]:
     """Bytes ``args.command`` holds at its peak with ``n`` particles, by the flag that sets them.
 
-    Each term is closed-form, a Python int for any n.  Per ket: the per-n
-    tables and states held at once; each per-n cache keeps one n, until its
-    successor is built.  The lift: its eigenbasis classes (count * s^2 floats
-    each), gathers, phases and turns.  The sweep: the largest piece its split
-    makes of the command's grid (for ``timing``, the fallback's 2048-row
-    chunks), or the timing series' 4096 B per distinct pair count, of which
-    there are about dim/11 from N = 150 on and fewer per ket as N grows.  An emitted row:
-    per value a slot in its column's list and a 24 B float, or a 28 B int above
-    256; the rows are zipped from those lists as they are written.
+    Each term is closed-form, a Python int for any n.  The engines count
+    their own arrays: the lift's in ``modes._lift_bytes``, the fringe
+    scan's block loop in ``interferometer._scan_bytes``, and the hold-phase
+    sweep's in ``protocol._sweep_bytes`` and ``protocol._timing_bytes``.
+    The terms here are the per-n tables and states held at once, per ket
+    (each per-n cache keeps one n, until its successor is built), the
+    parser's share, and an emitted row: per value a slot in its column's
+    list and a 24 B float, or a 28 B int above 256; the rows are zipped
+    from those lists as they are written.
     """
-    kets, slots = dimension(n), (n + 1) ** 2
-    full, rest = divmod(n + 1, _CLASS_SIZE)  # classes with s = 16, 32, ..., then one with s = n + 1
-    lift = 8 * (_CLASS_SIZE**3 * full * (full + 1) * (2 * full + 1) // 6 + rest * slots) + 224 * slots + 40 * kets
+    kets = dimension(n)
     ints = 56 * math.comb(max(n - 255, 0), 2)  # the values above 256 in two occupation columns
     # per ket: basis 24, amplitudes 8, pair counts 8, the readout table 48, a state 16,
     # a real vector 8; per row: 2 ints and a float 48, 4 floats and an int 136
     table = {
         "ground": lambda: {"--n": (24 + 8 + 8 + 48 + 12) * kets + ints},  # 12 for the parser's 0.25 MB at N = 150
-        "cat": lambda: {"--n": (24 + 8 + 8 + 48 + 16 + 8 + 48) * kets + ints + lift},
+        "cat": lambda: {"--n": (24 + 8 + 8 + 48 + 16 + 8 + 48) * kets + ints + _lift_bytes(n)},
         # the tables of n - 1 and n, 56 of temporaries as n's are built; a row and its result 176
         "cattiness-sweep": lambda: {"--n-max": (24 + 8 + 8 + 16 + 2 * 48 + 56) * kets + 176 * (n - args.n_min + 1)},
-        # each ket's index into the distinct pair counts; a piece's 16 B per ket per row
-        "timing": lambda: {"--n": (24 + 8 + 8 + 48 + 8) * kets
-                           + max(16 * kets * _sweep_buffer_rows(_SWEEP_CHUNK, kets), 4096 * (kets // 11))},
-        "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 48 + 8 + 16 * _sweep_buffer_rows(args.grid, kets)) * kets,
+        # each ket's index into the distinct pair counts
+        "timing": lambda: {"--n": (24 + 8 + 8 + 48 + 8) * kets + _timing_bytes(kets)},
+        "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 48 + 8) * kets + _sweep_bytes(args.grid, kets),
                                 "--grid": (16 + 64) * args.grid},
-        # the cat and the doubled hold; the lift's work on a block; a scan point 72, its 9 floats 288
-        "fringes": lambda: {"--n": (24 + 8 + 8 + 48 + 2 * 16) * kets + lift + 3 * max(_BLOCK_BYTES, 16 * slots),
+        # the cat and the doubled hold; a scan point 72, its 9 floats 288
+        "fringes": lambda: {"--n": (24 + 8 + 8 + 48 + 2 * 16) * kets + _lift_bytes(n) + _scan_bytes(n),
                             "--grid": (72 + 288) * args.grid},
     }
     return table[args.command]()

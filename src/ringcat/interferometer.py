@@ -51,6 +51,16 @@ _BLOCK_BYTES = 1 << 18
 _ELIDE_KETS = (1 << 18) // 16
 
 
+def _block_rows(n: int) -> int:
+    """Rows of one ``fringe_scan`` block at n: as many as ``_BLOCK_BYTES`` holds, at least one."""
+    return max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
+
+
+def _scan_bytes(n: int) -> int:
+    """Bytes ``fringe_scan``'s work pair and held block take: each is ``_block_rows(n)`` rows of at most (n+1)^2."""
+    return 3 * max(_BLOCK_BYTES, 16 * (n + 1) ** 2)
+
+
 @dataclass(frozen=True)
 class FringeSettings:
     """Interferometer settings reduced to the two phases observables depend on."""
@@ -203,7 +213,7 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     cat = lift.to_momentum(run_protocol(n).state).amps
     inverse_hold = _interaction_phases(n, 2.0 * CAT_HOLD_PHASE)
     readout = _extremal_readout(n).T
-    rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
+    rows = _block_rows(n)
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     # the lift's two gather arrays, held for the whole grid: every block's
     # gathers alternate between them, one row per block or many

@@ -132,6 +132,17 @@ def _hopping_eigenbases(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(classes), lam
 
 
+def _lift_bytes(n: int) -> int:
+    """Bytes a lift at n holds in ``_hopping_eigenbases``, ``_gathers`` and its two ``_Sweep``s.
+
+    Classes of count * s^2 floats (s = 16, 32, ..., then n + 1); per slot of (n+1)^2, eigenvalues 8, gathers 24
+    and each sweep's padded phases and turns 96; per ket, the last gather 8 and each sweep's canonical phases 16.
+    """
+    full, rest = divmod(n + 1, _CLASS_SIZE)
+    classes = _CLASS_SIZE**3 * full * (full + 1) * (2 * full + 1) // 6 + rest * (n + 1) ** 2
+    return 8 * classes + 224 * (n + 1) ** 2 + 40 * dimension(n)
+
+
 def _pair_layout(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Padded block layout of the basis for a rotation of modes p and q.
 

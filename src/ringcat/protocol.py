@@ -180,6 +180,17 @@ def _sweep_buffer_rows(points: int, dim: int) -> int:
     return max((-(-rows // _sweep_pieces(rows, dim)) for rows in blocks), default=0)
 
 
+def _sweep_bytes(points: int, dim: int) -> int:
+    """Bytes of ``sweep_protocol_probabilities``' phase buffer over ``points`` hold phases: its largest piece."""
+    return 16 * dim * _sweep_buffer_rows(points, dim)
+
+
+def _timing_bytes(dim: int) -> int:
+    """Bytes of ``_first_below``'s larger stage: the exact sweep of a 2048-row chunk, or
+    ``_series_products``' tables, 4096 B per distinct pair count (about dim / 11 from N = 150 on)."""
+    return max(_sweep_bytes(_SWEEP_CHUNK, dim), 4096 * (dim // 11))
+
+
 def sweep_protocol_probabilities(n: int, thetas) -> np.ndarray:
     """Mode-condensate probabilities (len(thetas), 3) over a hold-phase grid.
 

@@ -8,8 +8,9 @@ from ringcat.basis import rank
 from ringcat.evolution import _interaction_phases, evolve_interaction_phase, evolve_spectral
 from ringcat.hamiltonian import HubbardParams, _mode_energies, build_rotating_momentum_hamiltonian
 from ringcat.interferometer import (
-    _BLOCK_BYTES,
     FringeSettings,
+    _block_rows,
+    _scan_bytes,
     cat_matrix,
     fringe_probabilities,
     fringe_scan,
@@ -204,21 +205,24 @@ def test_scan_lifts_the_cat_to_momentum_once(monkeypatch):
 def test_every_scan_block_gathers_into_one_work_pair(monkeypatch, n):
     # one-row blocks (n >= 90) take the same memory path as multi-row ones:
     # every block's lift gathers into the two work arrays the scan holds for
-    # the whole grid, a partial last block included
-    seen = []
+    # the whole grid, a partial last block included.  The pair and one held
+    # block of phases fit the bytes the size budget counts for the scan
+    seen, held = [], []
     to_site_rows = FockLift.to_site_rows
 
     def recorded(self, amps, work=None):
         seen.append(work)
+        held.append(amps.nbytes)
         return to_site_rows(self, amps, work)
 
     monkeypatch.setattr(FockLift, "to_site_rows", recorded)
-    rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
+    rows = _block_rows(n)
     fringe_scan(n, 0.2, np.linspace(0.0, 2.0 * math.pi / n, 2 * rows + 1), 1.1)
     assert len(seen) == 3
     first = seen[0]
     assert first is not None and len(first) == 2 and first[0] is not first[1]
     assert all(a.size >= (n + 1) ** 2 * rows for a in first)
+    assert sum(a.nbytes for a in first) + max(held) <= _scan_bytes(n)
     for work in seen:
         assert work is not None and work[0] is first[0] and work[1] is first[1]
 
@@ -262,7 +266,7 @@ def per_point_scan(n, j, xi_values, dt):
 def test_block_scan_matches_the_per_point_oracle_bit_for_bit(n):
     # 177 and 180 sit on either side of 16,384 kets, where the one-point
     # sensing multiply changes operand order
-    rows = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
+    rows = _block_rows(n)
     grid = 2 * rows + 1 if rows > 1 else 3  # a partial last block
     xi_values = np.linspace(0.0, 2.0 * math.pi / n, grid)
     scan = fringe_scan(n, 0.2, xi_values, 1.1)

@@ -9,11 +9,14 @@ other tests fill with dense matrices.
 import numpy as np
 import pytest
 
-from ringcat.basis import dimension
+from ringcat.basis import dimension, enumerate_basis, rank
 from ringcat.modes import dft_mode_matrix, extremal_columns, lift_to_fock
-from ringcat.state import Representation, StateVector, fock_state
+from ringcat.state import Representation, StateVector, fock_state, superfluid_ground_state
 
 SIZES = (30, 90, 150)
+EPS = np.finfo(np.float64).eps
+# an apply's error on a unit state, per entry: 15 to 20 eps measured at N = 30 to 300
+APPLY_TOL = 64 * EPS
 
 
 def haar_unitary(rng):
@@ -71,4 +74,28 @@ def test_extremal_mode_kets_match_closed_form_at_ninety():
     for k, occ in enumerate(((n, 0, 0), (0, n, 0), (0, 0, n))):
         site = lift.to_site(fock_state(occ, Representation.MOMENTUM))
         assert np.max(np.abs(site.amps - cols[:, k])) < 1e-12
+    assert_matrix_free(lift)
+
+
+@pytest.mark.parametrize("n", [30, 90, 300])
+def test_dft_lift_squared_swaps_the_flow_modes_and_takes_the_ground_to_one_ket(n):
+    # F @ F is the real permutation that swaps modes beta and gamma, so
+    # L(F)^2 takes the ket (n0, n1, n2) to (n0, n2, n1) with no phase: an
+    # exact oracle at any n
+    lift = lift_to_fock(dft_mode_matrix(), n)
+    rng = np.random.default_rng(400 + n)
+    x = rng.normal(size=(2, dimension(n))) + 1j * rng.normal(size=(2, dimension(n)))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    swapped = np.empty_like(x)
+    swapped[:, [rank((n0, n2, n1)) for n0, n1, n2 in enumerate_basis(n).tolist()]] = x
+    assert np.max(np.abs(lift.forward.apply(lift.forward.apply(x)) - swapped)) < APPLY_TOL
+    # the ground is the n-fold occupation of mode alpha, so it goes to the one
+    # ket (n, 0, 0), with the ground's own norm defect (its log-gamma weights:
+    # 1.3e-14 at n = 90) and a phase of about 1.1 * n * eps measured, the
+    # Givens phases' rounding summed over n particles
+    ground = superfluid_ground_state(n).amps
+    out = lift.forward.apply(ground[None])[0]
+    assert abs(abs(out[0]) - np.linalg.norm(ground)) < 8 * EPS
+    assert abs(np.angle(out[0])) < 4 * n * EPS
+    assert np.max(np.abs(out[1:])) < APPLY_TOL
     assert_matrix_free(lift)

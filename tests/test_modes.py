@@ -8,7 +8,7 @@ import pytest
 import ringcat.modes as modes
 from ringcat.basis import dimension, enumerate_basis, rank
 from ringcat.evolution import evolve_interaction_phase
-from ringcat.interferometer import _BLOCK_BYTES
+from ringcat.interferometer import _block_rows
 from ringcat.modes import (
     dft_lift,
     dft_mode_matrix,
@@ -279,13 +279,8 @@ def padded_apply(sweep, vecs, x):
     return y
 
 
-def fringe_block_rows(n):
-    """Rows of one ``fringe_scan`` block at n."""
-    return max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
-
-
 @pytest.mark.parametrize(
-    "n, widths", [(n, (1, 2, 3, fringe_block_rows(n))) for n in range(3, 91, 3)] + [(150, (16, 256)), (300, (16, 256))]
+    "n, widths", [(n, (1, 2, 3, _block_rows(n))) for n in range(3, 91, 3)] + [(150, (16, 256)), (300, (16, 256))]
 )
 def test_the_transposed_product_gives_each_state_its_own_bits_at_every_width(n, widths):
     # _Sweep.apply takes each eigenbasis transposed against a whole block of
@@ -309,7 +304,7 @@ def test_eigenbasis_classes_keep_the_padded_bits(n):
     rng = np.random.default_rng(500 + n)
     lift = lift_to_fock(haar_unitary(rng), n)
     vecs = padded_eigenbases(n)
-    for rows in (1, 7, fringe_block_rows(n)):
+    for rows in (1, 7, _block_rows(n)):
         x = rng.normal(size=(rows, dimension(n))) + 1j * rng.normal(size=(rows, dimension(n)))
         for sweep in (lift.forward, lift.adjoint):
             assert sweep.apply(x).tobytes() == padded_apply(sweep, vecs, x).tobytes(), rows
@@ -324,6 +319,19 @@ def test_dense_lift_keeps_the_padded_bits(n):
     for lo in range(0, dim, 256):
         kets = np.eye(min(256, dim - lo), dim, lo, dtype=np.complex128)
         assert lift.matrix[:, lo : lo + kets.shape[0]].T.tobytes() == padded_apply(lift.forward, vecs, kets).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 15, 16, 17, 31, 90, 150])
+def test_lift_bytes_count_every_array_a_built_lift_holds(n):
+    # the classes and eigenvalues, the gathers, and both sweeps' phases and
+    # turns: every array a lift at n holds, as the size budget counts it
+    lift = lift_to_fock(dft_mode_matrix(), n)
+    classes, lam = modes._hopping_eigenbases(n)
+    held = [*classes, lam, *modes._gathers(n)]
+    for sweep in (lift.forward, lift.adjoint):
+        assert all(turn is not None for turn in sweep.turns)  # the Fourier matrix turns about every pair
+        held += [*sweep.phases, *sweep.turns]
+    assert modes._lift_bytes(n) == sum(a.nbytes for a in held)
 
 
 def test_eigenbasis_classes_hold_a_third_of_the_padded_floats():

@@ -507,6 +507,7 @@ def test_sweep_reuses_one_chunk_buffer():
     for n in (60, 90):
         sweep_protocol_probabilities(n, thetas[:1])  # cache the per-n inputs outside the trace
         piece = largest_piece_bytes(n, 2048)
+        assert protocol._sweep_bytes(thetas.size, dimension(n)) == piece
         peak = traced_peak(sweep_protocol_probabilities, n, thetas)
         assert peak < 1.3 * piece, f"n={n}: peak {peak / piece:.2f} pieces"
 
@@ -515,6 +516,7 @@ def test_calibration_grid_sweep_peaks_near_one_piece():
     thetas = np.linspace(0.6 * math.pi, 0.73 * math.pi, 4001)
     sweep_protocol_probabilities(90, thetas[:1])
     piece = largest_piece_bytes(90, 2048, 4001 - 2048)
+    assert protocol._sweep_bytes(thetas.size, dimension(90)) == piece
     peak = traced_peak(protocol._calibrate_on_grid, 90, thetas)
     assert peak < 1.3 * piece, f"peak {peak / piece:.2f} pieces"
 

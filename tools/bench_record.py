@@ -36,18 +36,31 @@ code or written files differ by a byte, and exits 1 if there is any.
 ``rss`` runs each ``LARGE_N`` command K times (default 5) in both checkouts,
 the same way, alternating which checkout runs first.  Per command it prints
 each side's median and quartiles of peak RSS (``os.wait4``'s
-``ru_maxrss``) and of wall time, and the change of the RSS median.
-Stdlib only.
+``ru_maxrss``) and of wall time, the change of the RSS median, and each
+side's size estimate: ``cli._footprint`` times ``cli._SAFETY``, the bytes the
+memory budget charges, read by one ``python -c`` per checkout that does no
+array work.
+
+``pairs``, ``bytes`` and ``rss`` run in temporary copies of the two
+checkouts (without ``.git``), each with its ``src/`` compiled by
+``compileall`` first, so no ``.pyc`` lands in a checkout.  Peak RSS moves by
+~0.2 MB with the source text of the modules when they are compiled at each
+start (as under ``PYTHONDONTWRITEBYTECODE=1``), so this keeps an edit to a
+docstring from showing as a change of memory.  A ``PYTHONPYCACHEPREFIX``
+would not do: it moves every module's cache, so numpy would then compile
+from source in each child.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import json
 import os
 import random
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -60,6 +73,26 @@ SEEDS = (1, 2, 3, 4, 5)
 # large-N lifts and one-row fringe scans, on small grids
 LARGE_N = ("cat --n 150", "cat --n 300", "cat --n 450", "fringes --n 90 --grid 16", "fringes --n 150 --grid 16",
            "fringes --n 180 --grid 16", "fringes --n 300 --grid 8")
+# each argument's estimated bytes, as ``cli._check_size`` counts them, one line each
+ESTIMATE = """
+import shlex, sys
+from ringcat import cli
+over, under = cli._SAFETY
+for line in sys.argv[1:]:
+    args = cli._build_parser().parse_args(shlex.split(line))
+    print(sum(cli._footprint(args, args.n).values()) * over // under)
+"""
+
+
+@contextlib.contextmanager
+def precompiled(*roots: Path):
+    """Temporary copies of the checkouts, each with its ``src/`` compiled, for the children to run in."""
+    with tempfile.TemporaryDirectory(prefix="bench_pyc_") as tmp:
+        copies = [Path(tmp) / str(i) for i in range(len(roots))]
+        for root, copy in zip(roots, copies):
+            shutil.copytree(root, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".ringbench_work"))
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(copy / "src")], check=True)
+        yield copies
 
 
 def git(root: Path, *args: str) -> str:
@@ -216,9 +249,17 @@ def peak_rss(root: Path, args: tuple[str, ...]) -> tuple[float, float]:
     return usage.ru_maxrss / 1024.0, wall
 
 
+def estimates(root: Path) -> list[float]:
+    """The size estimate of each ``LARGE_N`` command in a checkout, in MB."""
+    proc = subprocess.run([sys.executable, "-c", ESTIMATE, *LARGE_N], env=cli_env(root), capture_output=True,
+                          text=True, check=True)
+    return [int(line) / 2**20 for line in proc.stdout.split()]
+
+
 def rss(old_root: Path, new_root: Path, runs: int) -> None:
     order = [("old", old_root), ("new", new_root)]
-    for line in LARGE_N:
+    estimated = zip(estimates(old_root), estimates(new_root))
+    for line, (old_mb, new_mb) in zip(LARGE_N, estimated):
         args = tuple(shlex.split(line))
         measured: dict[str, list[tuple[float, float]]] = {"old": [], "new": []}
         for i in range(runs):
@@ -229,7 +270,8 @@ def rss(old_root: Path, new_root: Path, runs: int) -> None:
         print(f"ringcat {line}: peak RSS old {a['median']:.2f} [{a['q1']:.2f}, {a['q3']:.2f}], "
               f"new {b['median']:.2f} [{b['q1']:.2f}, {b['q3']:.2f}] MB ({b['median'] - a['median']:+.2f}); "
               f"wall old {wa['median']:.3f} [{wa['q1']:.3f}, {wa['q3']:.3f}], "
-              f"new {wb['median']:.3f} [{wb['q1']:.3f}, {wb['q3']:.3f}] s", flush=True)
+              f"new {wb['median']:.3f} [{wb['q1']:.3f}, {wb['q3']:.3f}] s; "
+              f"estimate old {old_mb:.2f}, new {new_mb:.2f} MB", flush=True)
 
 
 def seed_range(text: str) -> range:
@@ -270,17 +312,20 @@ def main(argv=None) -> int:
     p.add_argument("--new", type=Path, required=True, help="the checkout with the change")
     p.add_argument("--runs", type=run_count, default=5, help="runs per command and checkout, at least two (default 5)")
     args = parser.parse_args(argv)
-    if args.action == "bytes":
-        return same_bytes(args.old.resolve(), args.new.resolve(), args.seeds)
     if args.action == "record":
         print(f"wrote {record(args.root.resolve())}")
-    elif args.action == "compare":
+        return 0
+    if args.action == "compare":
         compare(args.old, args.new)
-    elif args.action == "rss":
-        rss(args.old.resolve(), args.new.resolve(), args.runs)
-    else:
-        seconds = args.seconds or json.loads((HOME / "BENCHMARK.json").read_text())["run_seconds"]
-        pairs(args.old.resolve(), args.new.resolve(), args.workload, args.seeds, seconds)
+        return 0
+    with precompiled(args.old.resolve(), args.new.resolve()) as (old, new):
+        if args.action == "bytes":
+            return same_bytes(old, new, args.seeds)
+        if args.action == "rss":
+            rss(old, new, args.runs)
+        else:
+            seconds = args.seconds or json.loads((HOME / "BENCHMARK.json").read_text())["run_seconds"]
+            pairs(old, new, args.workload, args.seeds, seconds)
     return 0
 
 
