@@ -159,16 +159,21 @@ def _footprint(args, n: int) -> dict[str, int]:
     return table[args.command]()
 
 
+def _charged_bytes(args, n: int) -> int:
+    """The bytes ``_check_size`` charges a setting: its ``_footprint`` summed, times ``_SAFETY``."""
+    return sum(_footprint(args, n).values()) * _SAFETY[0] // _SAFETY[1]
+
+
 def _check_size(args, n: int) -> None:
-    """Refuse a setting whose ``_footprint`` times ``_SAFETY`` would exceed ``SIZE_BUDGET``.
+    """Refuse a setting whose ``_charged_bytes`` would exceed ``SIZE_BUDGET``.
 
     This runs before any array work.  The refusal names the flag that sets
     the most bytes, and rounds the estimate up to 0.001 GiB, so an excess
     shows; an estimate too large for a float reads as inf.
     """
-    sizes = _footprint(args, n)
-    nbytes = sum(sizes.values()) * _SAFETY[0] // _SAFETY[1]
+    nbytes = _charged_bytes(args, n)
     if nbytes > SIZE_BUDGET:
+        sizes = _footprint(args, n)
         need = -(-1000 * nbytes // 2**30) / 1000 if nbytes.bit_length() < 1000 else math.inf
         raise ValueError(f"needs about {need:.4g} GiB, above the {SIZE_BUDGET >> 30} GiB memory budget; "
                          f"reduce {max(sizes, key=sizes.get)}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .evolution import _interaction_phases, evolve_interaction_phase
 from .hamiltonian import _mode_energies
-from .modes import _extremal_readout, dft_lift
+from .modes import _extremal_probabilities, _extremal_readout, dft_lift
 from .protocol import CAT_HOLD_PHASE, _require_cat_number, run_protocol
 from .state import Representation, StateVector, _check_norms
 
@@ -186,20 +186,18 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
 
     The simulated columns run the interferometer in Fock space.  The cat,
     ``run_protocol(n).state``, and its lift to momentum modes do not depend
-    on xi, so they run once, as do the doubled hold's phases and the
-    conjugated readout columns.  The xi values then go through in blocks of
-    rows: one vectorized pass makes a block's mode energies and sensing
-    phases for ``dt``, one lift takes all its rows back to sites, and the
-    doubled hold, the norm checks and the extremal readout run on the
-    whole block.  Each row keeps the bits of a one-point scan: the lift's
-    transposed products give each column the same bits at any width, its
-    other products and the readout's have the shapes of a single state,
-    and the block's |a|^2 is ``float_power(hypot(re, im), 2.0)``, the libm
-    hypot and pow that ``float(abs(a)) ** 2`` calls.  The closed-form
-    columns come from ``fringe_probabilities``' own formula, evaluated over
-    the whole grid.  Only multiples of three keep the state in the
-    extremal subspace; other n are rejected, as are a non-finite ``j`` or
-    xi.
+    on xi, so they run once, as do the doubled hold's phases.  The xi
+    values then go through in blocks of rows: one vectorized pass makes a
+    block's mode energies and sensing phases for ``dt``, the lift's
+    ``adjoint.apply`` takes all its rows back to sites, and the doubled
+    hold, the norm checks and the readout of ``extremal_mode_probabilities``
+    run on the whole block.  Each row keeps the bits of a one-point scan:
+    the lift's transposed products give each column the same bits at any
+    width, and its other products have the shapes of a single state.  The
+    closed-form columns come from ``fringe_probabilities``' own formula,
+    evaluated over the whole grid.  Only multiples of three keep the state
+    in the extremal subspace; other n are rejected, as are a non-finite
+    ``j`` or xi.
 
     The period column is measured from the spacing of the alpha-fringe
     maxima over the scan (NaN when the grid covers fewer than two peaks);
@@ -212,7 +210,6 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     lift = dft_lift(n)
     cat = lift.to_momentum(run_protocol(n).state).amps
     inverse_hold = _interaction_phases(n, 2.0 * CAT_HOLD_PHASE)
-    readout = _extremal_readout(n).T
     rows = _block_rows(n)
     sim = np.empty((xi_values.size, 3), dtype=np.float64)
     # the lift's two gather arrays, held for the whole grid: every block's
@@ -228,12 +225,11 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
         else:
             np.multiply(cat, held, out=held)
         _check_norms(held)
-        final = lift.to_site_rows(held, work)
+        final = lift.adjoint.apply(held, work)
         del held
         final *= inverse_hold
         _check_norms(final)
-        amps = (readout @ final[:, :, None])[:, :, 0]
-        sim[lo : lo + rows] = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+        sim[lo : lo + rows] = _extremal_probabilities(n, final)
     closed = _closed_columns(n * xi_values * dt, 3.0 * n * j * dt)
     xi_dt = xi_values * dt
     peaks = _peak_positions(xi_dt, closed[:, 0])

@@ -286,11 +286,10 @@ class FockLift:
     """N-particle unitary induced by a 3x3 mode matrix, applied matrix-free.
 
     ``to_momentum`` maps site-representation amplitudes to momentum
-    amplitudes over the canonical basis, and ``to_site`` maps them back
-    with the adjoint; ``to_site_rows`` maps a stack of momentum rows back
-    without building states.  ``matrix`` is the same map as a dense
-    array.  It is built on first access and cached, so it costs O(dim^2)
-    memory only where it is read.
+    amplitudes over the canonical basis and ``to_site`` maps them back;
+    ``forward.apply`` and ``adjoint.apply`` map stacks of rows.  ``matrix``
+    is the forward map as a dense array, built on first access and cached,
+    so it costs O(dim^2) memory only where it is read.
     """
 
     n: int
@@ -315,16 +314,7 @@ class FockLift:
     def to_site(self, s: StateVector) -> StateVector:
         if s.rep is not Representation.MOMENTUM:
             raise ValueError("to_site expects a momentum-representation state")
-        return StateVector(s.n, Representation.SITE, self.to_site_rows(s.amps[None])[0])
-
-    def to_site_rows(self, amps: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """Momentum amplitudes, one state per row, mapped back to sites.
-
-        The rows are returned unchecked; the caller checks their norms.
-        ``work`` is as for ``_Sweep.apply``: with it the result is a view
-        of the work arrays, valid until the next call with them.
-        """
-        return self.adjoint.apply(amps, work)
+        return StateVector(s.n, Representation.SITE, self.adjoint.apply(s.amps[None])[0])
 
 
 def lift_to_fock(f: np.ndarray, n: int) -> FockLift:
@@ -395,9 +385,17 @@ def extremal_mode_probabilities(s: StateVector) -> tuple[float, float, float]:
         probs = s.probabilities()
         ia, ib, ig = _extremal_ranks(s.n)
         return float(probs[ia]), float(probs[ib]), float(probs[ig])
-    amps = _extremal_readout(s.n).T @ s.amps
-    pa, pb, pg = (float(abs(a)) ** 2 for a in amps)
-    return pa, pb, pg
+    return tuple(_extremal_probabilities(s.n, s.amps[None])[0].tolist())
+
+
+def _extremal_probabilities(n: int, rows: np.ndarray) -> np.ndarray:
+    """|<k|row>|^2 over the three extremal kets k, shape (m, 3), for site rows of shape (m, dim).
+
+    Each row is one (3, dim) @ (dim,) product, and |a|^2 is ``float_power(hypot(re, im), 2.0)``, the libm
+    hypot and pow that Python's scalar ``abs`` and ``**`` call, so a row has the same bits alone as in any stack.
+    """
+    amps = (_extremal_readout(n).T @ rows[:, :, None])[:, :, 0]
+    return np.float_power(np.hypot(amps.real, amps.imag), 2.0)
 
 
 def momentum_distribution(s: StateVector) -> np.ndarray:

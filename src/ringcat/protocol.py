@@ -430,7 +430,7 @@ def calibrate_u(n: int, theta_samples) -> float:
     sample seeds a golden-section refinement; running the protocol for a
     range of hold times and reading the resonance off this way pins the
     interaction strength, since the peak sharpens like 1/n.  The peak is
-    flat-topped, so a search on values resolves it only to a few 1e-9.
+    flat-topped, so a search on values resolves it only to ~sqrt(eps)/n.
     Raises ``PhysicsError`` unless n is a positive multiple of 3, and its
     subclass ``BracketError`` when the samples around the best one form no
     strict bracket (see ``_golden_maximum``).

@@ -16,7 +16,7 @@ import ringcat.cli as cli
 import ringcat.protocol as protocol
 from ringcat.basis import multinomial_amplitudes
 from ringcat.cli import main
-from ringcat.modes import FockLift, dft_lift
+from ringcat.modes import _Sweep, dft_lift
 from ringcat.state import NumericalHealthError, Representation, StateVector
 
 
@@ -90,6 +90,16 @@ def test_cat_delta_flag_shifts_the_hold(tmp_path):
     assert footer["cattiness"] < 1.0
 
 
+@pytest.mark.parametrize("flag, value", [("--delta", "-5e-2"), ("--theta-pi", "-2/3")])
+def test_negative_value_not_written_as_a_plain_number_runs_after_an_equals_sign(tmp_path, capsys, flag, value):
+    # argparse takes -5e-2 or -2/3 after a space for a flag name, as the
+    # README says; joined to the flag by "=" it is the flag's value
+    out = str(tmp_path / "neg.csv")
+    line = assert_refused_at_parse(capsys, "cat", "--n", "3", flag, value, "--out", out)
+    assert line.endswith("expected one argument")
+    assert run_cli("cat", "--n", "3", f"{flag}={value}", "--out", out) == 0
+
+
 def test_cattiness_sweep_comb(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("cattiness-sweep", "--n-min", "1", "--n-max", "12", "--out", str(out)) == 0
@@ -135,7 +145,7 @@ def test_each_estimate_bounds_its_peak(argv, tmp_path):
     # that peak
     args = cli._build_parser().parse_args(list(argv))
     over, under = cli._SAFETY
-    estimate = sum(cli._footprint(args, 150).values()) * over // under
+    estimate = cli._charged_bytes(args, 150)
     home = str(Path(cli.__file__).resolve().parents[1])
     code = (
         f"import sys, tracemalloc; sys.path.insert(0, {home!r}); import ringcat.cli as cli; "
@@ -347,12 +357,14 @@ def test_unit_sum_check_names_the_first_bad_row():
 def test_fringes_point_loop_keeps_its_norm_checks(tmp_path, capsys, monkeypatch):
     # the lift back hands over drifted rows unchecked; the scan's own norm
     # checks must catch the drift
-    to_site_rows = FockLift.to_site_rows
+    apply = _Sweep.apply
+    adjoint = dft_lift(3).adjoint
 
-    def drifted(self, amps, work=None):
-        return 1.001 * to_site_rows(self, amps, work)
+    def drifted(self, x, work=None):
+        out = apply(self, x, work)
+        return 1.001 * out if self is adjoint else out
 
-    monkeypatch.setattr(FockLift, "to_site_rows", drifted)
+    monkeypatch.setattr(_Sweep, "apply", drifted)
     assert run_cli("fringes", "--n", "3", "--grid", "8", "--out", str(tmp_path / "f.csv")) == 4
     assert "state norm" in capsys.readouterr().err
 

@@ -20,6 +20,7 @@ from ringcat.interferometer import (
 )
 from ringcat.modes import (
     FockLift,
+    _Sweep,
     dft_lift,
     extremal_columns,
     extremal_mode_probabilities,
@@ -208,14 +209,16 @@ def test_every_scan_block_gathers_into_one_work_pair(monkeypatch, n):
     # the whole grid, a partial last block included.  The pair and one held
     # block of phases fit the bytes the size budget counts for the scan
     seen, held = [], []
-    to_site_rows = FockLift.to_site_rows
+    apply = _Sweep.apply
+    adjoint = dft_lift(n).adjoint
 
-    def recorded(self, amps, work=None):
-        seen.append(work)
-        held.append(amps.nbytes)
-        return to_site_rows(self, amps, work)
+    def recorded(self, x, work=None):
+        if self is adjoint:
+            seen.append(work)
+            held.append(x.nbytes)
+        return apply(self, x, work)
 
-    monkeypatch.setattr(FockLift, "to_site_rows", recorded)
+    monkeypatch.setattr(_Sweep, "apply", recorded)
     rows = _block_rows(n)
     fringe_scan(n, 0.2, np.linspace(0.0, 2.0 * math.pi / n, 2 * rows + 1), 1.1)
     assert len(seen) == 3

@@ -17,6 +17,7 @@ from ringcat.modes import (
     lift_to_fock,
     momentum_distribution,
 )
+from ringcat.protocol import CAT_HOLD_PHASE, run_protocol
 from ringcat.state import Representation, StateVector, fock_state, superfluid_ground_state
 
 
@@ -186,6 +187,18 @@ def test_extremal_probabilities_agree_with_full_lift_marginal():
         assert pg == pytest.approx(dist[rank((0, 0, n))], abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, theta", [(n, CAT_HOLD_PHASE) for n in (1, 2, 3, 30, 31, 90, 177, 180)] + [(30, 1.05 * CAT_HOLD_PHASE)]
+)
+def test_site_readout_keeps_the_bits_of_the_scalar_squaring(n, theta):
+    # the recorded outputs took each of the three overlaps as one
+    # matrix-vector product and squared it as float(abs(a)) ** 2
+    r = run_protocol(n, theta)
+    overlaps = extremal_columns(n).conj().T @ r.state.amps
+    expected = np.array([float(abs(a)) ** 2 for a in overlaps])
+    assert np.array([r.p_alpha, r.p_beta, r.p_gamma]).tobytes() == expected.tobytes()
+
+
 def test_extremal_probabilities_momentum_representation_path():
     n = 3
     held = evolve_interaction_phase(superfluid_ground_state(n), 1.1)
@@ -240,7 +253,7 @@ def test_lift_of_a_stack_of_rows_matches_each_row_bit_for_bit(n):
     dim = dimension(n)
     rows = rng.normal(size=(7, dim)) + 1j * rng.normal(size=(7, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    for row, out in zip(rows, lift.to_site_rows(rows)):
+    for row, out in zip(rows, lift.adjoint.apply(rows)):
         alone = lift.to_site(StateVector(n, Representation.MOMENTUM, row)).amps
         assert out.tobytes() == alone.tobytes()
     # the dense matrix is the forward lift of stacks of basis kets

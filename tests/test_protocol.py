@@ -366,6 +366,16 @@ def test_calibration_finds_the_resonance():
     assert star == pytest.approx(CAT_HOLD_PHASE, abs=1e-7)
 
 
+@pytest.mark.parametrize("n", [*range(3, 91, 3), 120, 150, 201, 252])
+def test_calibration_resolves_the_exact_peak_to_a_few_sqrt_eps_over_n(n):
+    # for n a multiple of 3, C = 1 exactly at 2*pi/3 and C <= 1 everywhere
+    # (AM-GM with P_alpha + P_beta + P_gamma <= 1), so 2*pi/3 is the exact
+    # peak; a value-based search on a cap of curvature ~n^2 resolves it to
+    # about sqrt(eps)/n: at most 2.85 * 3 sqrt(eps)/n (n = 69), and 1.4e-8 at n = 3
+    star = calibrate_u(n, np.linspace(0.5 * math.pi, 5.0 * math.pi / 6.0, 121))
+    assert abs(star - CAT_HOLD_PHASE) <= 4 * 3 * math.sqrt(sys.float_info.epsilon) / n
+
+
 def test_calibration_peak_width_matches_timing_tolerance():
     n = 6
     d0 = timing_tolerance(n, c_target=0.9)

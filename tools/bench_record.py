@@ -37,9 +37,9 @@ code or written files differ by a byte, and exits 1 if there is any.
 the same way, alternating which checkout runs first.  Per command it prints
 each side's median and quartiles of peak RSS (``os.wait4``'s
 ``ru_maxrss``) and of wall time, the change of the RSS median, and each
-side's size estimate: ``cli._footprint`` times ``cli._SAFETY``, the bytes the
-memory budget charges, read by one ``python -c`` per checkout that does no
-array work.
+side's size estimate: ``cli._charged_bytes``, the bytes the memory budget
+charges, read by one ``python -c`` per checkout that does no array work.
+Both checkouts must define that function.
 
 ``pairs``, ``bytes`` and ``rss`` run in temporary copies of the two
 checkouts (without ``.git``), each with its ``src/`` compiled by
@@ -73,14 +73,13 @@ SEEDS = (1, 2, 3, 4, 5)
 # large-N lifts and one-row fringe scans, on small grids
 LARGE_N = ("cat --n 150", "cat --n 300", "cat --n 450", "fringes --n 90 --grid 16", "fringes --n 150 --grid 16",
            "fringes --n 180 --grid 16", "fringes --n 300 --grid 8")
-# each argument's estimated bytes, as ``cli._check_size`` counts them, one line each
+# each argument's estimated bytes, as ``cli._check_size`` charges them, one line each
 ESTIMATE = """
 import shlex, sys
 from ringcat import cli
-over, under = cli._SAFETY
 for line in sys.argv[1:]:
     args = cli._build_parser().parse_args(shlex.split(line))
-    print(sum(cli._footprint(args, args.n).values()) * over // under)
+    print(cli._charged_bytes(args, args.n))
 """
 
 
