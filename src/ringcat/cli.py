@@ -62,6 +62,8 @@ SIZE_BUDGET = 1 << 30
 # Each estimate is its counted bytes times 5/4.  Traced with tracemalloc at
 # N = 150, every command peaks at 1.01 to 1.16 times the bytes it counts.
 _SAFETY = (5, 4)
+# The argument parser and a run's small objects, whatever n: 0.249 MB traced at ``ground --n 3``.
+_PARSER_BYTES = 1 << 18
 
 
 def _finite_float(text: str) -> float:
@@ -135,17 +137,19 @@ def _footprint(args, n: int) -> dict[str, int]:
     sweep's in ``protocol._sweep_bytes`` and ``protocol._timing_bytes``.
     The terms here are the per-n tables and states held at once, per ket
     (each per-n cache keeps one n, until its successor is built), the
-    parser's share, and an emitted row: per value a slot in its column's
-    list and a 24 B float, or a 28 B int above 256; the rows are zipped
-    from those lists as they are written.
+    parser's fixed share where the rest does not dwarf it (``ground``), and
+    an emitted row: per value a slot in its column's list and a 24 B float,
+    or a 28 B int above 256; the rows are zipped from those lists as they
+    are written.
     """
     kets = dimension(n)
     ints = 56 * math.comb(max(n - 255, 0), 2)  # the values above 256 in two occupation columns
     # per ket: basis 24, amplitudes 8, pair counts 8, the readout table 48, a state 16,
     # a real vector 8; per row: 2 ints and a float 48, 4 floats and an int 136
     table = {
-        "ground": lambda: {"--n": (24 + 8 + 8 + 48 + 12) * kets + ints},  # 12 for the parser's 0.25 MB at N = 150
-        "cat": lambda: {"--n": (24 + 8 + 8 + 48 + 16 + 8 + 48) * kets + ints + _lift_bytes(n)},
+        "ground": lambda: {"--n": (24 + 8 + 8 + 48) * kets + ints + _PARSER_BYTES},
+        # the lift's forward direction only
+        "cat": lambda: {"--n": (24 + 8 + 8 + 48 + 16 + 8 + 48) * kets + ints + _lift_bytes(n, 1)},
         # the tables of n - 1 and n, 56 of temporaries as n's are built; a row and its result 176
         "cattiness-sweep": lambda: {"--n-max": (24 + 8 + 8 + 16 + 2 * 48 + 56) * kets + 176 * (n - args.n_min + 1)},
         # each ket's index into the distinct pair counts
@@ -153,7 +157,7 @@ def _footprint(args, n: int) -> dict[str, int]:
         "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 48 + 8) * kets + _sweep_bytes(args.grid, kets),
                                 "--grid": (16 + 64) * args.grid},
         # the cat and the doubled hold; a scan point 72, its 9 floats 288
-        "fringes": lambda: {"--n": (24 + 8 + 8 + 48 + 2 * 16) * kets + _lift_bytes(n) + _scan_bytes(n),
+        "fringes": lambda: {"--n": (24 + 8 + 8 + 48 + 2 * 16) * kets + _lift_bytes(n, 2) + _scan_bytes(n),
                             "--grid": (72 + 288) * args.grid},
     }
     return table[args.command]()

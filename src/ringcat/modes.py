@@ -18,12 +18,15 @@ the pair it acts as exp(i theta T_K).  T_K is the real tridiagonal hopping
 generator a_p^dag a_q + h.c., the Schwinger-boson 2 J_x, with exact
 eigenvalues -K, -K + 2, ..., K.  One ``eigh`` of each T_K (Feng et al.,
 PRE 92, 043307, 2015) therefore serves every rotation angle and both
-directions.  Applying the lift costs O(N^3).  The eigenbases are kept in
-classes of 16 block sizes, each zero-padded to its largest block only, so
-they take about a third of the (N+1)^3 floats of one common padding.  The
-norm and round-trip defects on random vectors stay at the 1e-15 level
-through N = 150, which the test suite checks.  Lifts compose the way the
-3x3 matrices do, which the tests check rather than assume.
+directions, and the eigenvalues are formed, not stored.  A lift keeps the
+Givens angles and phases and builds each direction on first use, so one
+that only maps sites to modes holds one.  Applying the lift costs O(N^3).
+The eigenbases are kept in classes of 16 block sizes, each zero-padded to
+its largest block only, so they take about a third of the (N+1)^3 floats of
+one common padding.  The norm and round-trip defects on random vectors stay
+at the 1e-15 level through N = 150, which the test suite checks.  Lifts
+compose the way the 3x3 matrices do, which the tests check rather than
+assume.
 """
 
 from __future__ import annotations
@@ -104,19 +107,18 @@ def _givens_factors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _hopping_eigenbases(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _hopping_eigenbases(n: int) -> tuple[np.ndarray, ...]:
     """Eigenvectors of T_K for K = 0..n, in classes of consecutive K.
 
-    Returns (classes, eigenvalues).  A class holds the K of one run
-    K0..K0+count-1 (16 of them, the last class fewer) as a (count, s, s)
-    array with s the largest K+1 in it: entry K-K0 holds the eigenvectors of
-    T_K in its leading (K+1) x (K+1) block, over kets ordered by the second
-    mode's occupation t, and zeros elsewhere.  The eigenvalues, (n+1, n+1) with row K zero-padded, are set
-    to their exact values -K, -K+2, ..., K, the ascending order ``eigh``
-    returns them in.
+    A class holds the K of one run K0..K0+count-1 (16 of them, the last
+    class fewer) as a (count, s, s) array with s the largest K+1 in it:
+    entry K-K0 holds the eigenvectors of T_K in its leading (K+1) x (K+1)
+    block, over kets ordered by the second mode's occupation t, and zeros
+    elsewhere.  The columns follow the ascending eigenvalues -K, -K+2, ...,
+    K that ``eigh`` returns; they are exact, so ``_Sweep.build`` forms them
+    and none are kept.
     """
     classes = []
-    lam = np.zeros((n + 1, n + 1))
     for lo in range(0, n + 1, _CLASS_SIZE):
         hi = min(lo + _CLASS_SIZE, n + 1)
         vecs = np.zeros((hi - lo, hi, hi))
@@ -125,22 +127,23 @@ def _hopping_eigenbases(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
             hop = np.sqrt(t * (k - t + 1.0))
             gen = np.diag(hop, 1) + np.diag(hop, -1)
             vecs[k - lo, : k + 1, : k + 1] = np.linalg.eigh(gen)[1]
-            lam[k, : k + 1] = np.arange(-k, k + 1, 2)
+        vecs.setflags(write=False)
         classes.append(vecs)
-    for a in classes + [lam]:
-        a.setflags(write=False)
-    return tuple(classes), lam
+    return tuple(classes)
 
 
-def _lift_bytes(n: int) -> int:
-    """Bytes a lift at n holds in ``_hopping_eigenbases``, ``_gathers`` and its two ``_Sweep``s.
+def _lift_bytes(n: int, directions: int) -> int:
+    """Bytes a lift at n holds once ``directions`` (1 or 2) of its ``_Sweep``s are built.
 
-    Classes of count * s^2 floats (s = 16, 32, ..., then n + 1); per slot of (n+1)^2, eigenvalues 8, gathers 24
-    and each sweep's padded phases and turns 96; per ket, the last gather 8 and each sweep's canonical phases 16.
+    The classes of ``_hopping_eigenbases``, count * s^2 floats (s = 16, 32,
+    ..., then n + 1), and ``_gathers``, 24 per slot of (n+1)^2 and 8 per
+    ket, are held from the first direction on.  Each direction adds its
+    padded phases and turns, 96 per slot, and its canonical phases, 16 per
+    ket.
     """
     full, rest = divmod(n + 1, _CLASS_SIZE)
     classes = _CLASS_SIZE**3 * full * (full + 1) * (2 * full + 1) // 6 + rest * (n + 1) ** 2
-    return 8 * classes + 224 * (n + 1) ** 2 + 40 * dimension(n)
+    return 8 * classes + (24 + 96 * directions) * (n + 1) ** 2 + (8 + 16 * directions) * dimension(n)
 
 
 def _pair_layout(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +239,9 @@ class _Sweep:
 
     @classmethod
     def build(cls, n: int, thetas, phis) -> "_Sweep":
-        _, lam = _hopping_eigenbases(n)
+        k = np.arange(n + 1)[:, None]
+        slot = np.arange(n + 1)
+        lam = np.where(slot <= k, 2.0 * slot - k, 0.0)  # row K: T_K's eigenvalues, zero-padded
         occs = [_pair_layout(n, p, q)[0] for p, q in _PAIRS] + [enumerate_basis(n)]
         phases = tuple(np.exp(1j * (occ @ phi)) for occ, phi in zip(occs, phis))
         turns = tuple(None if t == 0 else np.exp(1j * t * lam)[..., None] for t in thetas)
@@ -262,7 +267,7 @@ class _Sweep:
         in the gather only.  The result is the transposed view of either.
         """
         n = self.n
-        classes, _ = _hopping_eigenbases(n)
+        classes = _hopping_eigenbases(n)
         rows, dim = x.shape
         bufs = None if work is None else [w[: (n + 1) ** 2 * rows].reshape(-1, rows) for w in work]
         y = np.empty(((n + 1) ** 2, rows), dtype=np.complex128) if bufs is None else bufs[0]
@@ -287,14 +292,25 @@ class FockLift:
 
     ``to_momentum`` maps site-representation amplitudes to momentum
     amplitudes over the canonical basis and ``to_site`` maps them back;
-    ``forward.apply`` and ``adjoint.apply`` map stacks of rows.  ``matrix``
-    is the forward map as a dense array, built on first access and cached,
-    so it costs O(dim^2) memory only where it is read.
+    ``forward.apply`` and ``adjoint.apply`` map stacks of rows.  The lift
+    keeps the Givens angles and phases of its mode matrix (read-only) and
+    builds each direction from them the first time it is used, so a caller
+    that only maps to momentum modes, or reads ``matrix`` (the forward map
+    as a dense array, O(dim^2) memory), holds one direction.  Both are
+    cached once built.
     """
 
     n: int
-    forward: _Sweep = field(repr=False)
-    adjoint: _Sweep = field(repr=False)
+    thetas: np.ndarray = field(repr=False)
+    phis: np.ndarray = field(repr=False)
+
+    @cached_property
+    def forward(self) -> _Sweep:
+        return _Sweep.build(self.n, self.thetas[::-1], self.phis[::-1])
+
+    @cached_property
+    def adjoint(self) -> _Sweep:
+        return _Sweep.build(self.n, -self.thetas, -self.phis)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -326,9 +342,9 @@ def lift_to_fock(f: np.ndarray, n: int) -> FockLift:
     if defect > 1e-12:
         raise ValueError(f"mode matrix is not unitary (defect {defect:.3e})")
     thetas, phis = _givens_factors(f)
-    forward = _Sweep.build(n, thetas[::-1], phis[::-1])
-    adjoint = _Sweep.build(n, -thetas, -phis)
-    return FockLift(n, forward, adjoint)
+    thetas.setflags(write=False)
+    phis.setflags(write=False)
+    return FockLift(n, thetas, phis)
 
 
 @lru_cache(maxsize=1)

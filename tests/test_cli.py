@@ -456,8 +456,8 @@ class Reached(Exception):
 @pytest.mark.parametrize(
     "argv, largest, step, stage, refusal",
     [
-        (("ground", "--n"), 3407, 1, "superfluid_ground_state", "memory budget"),
-        (("cat", "--n"), 638, 1, "run_protocol", "memory budget"),
+        (("ground", "--n"), 3549, 1, "superfluid_ground_state", "memory budget"),
+        (("cat", "--n"), 650, 1, "run_protocol", "memory budget"),
         (("cattiness-sweep", "--n-min", "1", "--n-max"), 1292, 1, "cattiness_sweep", "3^(n/2)"),
         (("timing", "--n"), 1290, 3, "timing_tolerance", "3^(n/2)"),
         (("calibrate-u", "--grid", "2048", "--n"), 1290, 3, "_calibrate_on_grid", "3^(n/2)"),

@@ -8,7 +8,7 @@ import pytest
 import ringcat.modes as modes
 from ringcat.basis import dimension, enumerate_basis, rank
 from ringcat.evolution import evolve_interaction_phase
-from ringcat.interferometer import _block_rows
+from ringcat.interferometer import _block_rows, fringe_scan
 from ringcat.modes import (
     dft_lift,
     dft_mode_matrix,
@@ -300,7 +300,7 @@ def test_the_transposed_product_gives_each_state_its_own_bits_at_every_width(n, 
     # states in one BLAS call; the rows keep their bits only because BLAS's
     # transposed product rounds each column alike at every width.  A BLAS
     # that breaks this fails here by name
-    classes, _ = modes._hopping_eigenbases(n)
+    classes = modes._hopping_eigenbases(n)
     rng = np.random.default_rng(700 + n)
     for rows in widths:
         for vecs in classes:
@@ -336,15 +336,27 @@ def test_dense_lift_keeps_the_padded_bits(n):
 
 @pytest.mark.parametrize("n", [1, 3, 15, 16, 17, 31, 90, 150])
 def test_lift_bytes_count_every_array_a_built_lift_holds(n):
-    # the classes and eigenvalues, the gathers, and both sweeps' phases and
-    # turns: every array a lift at n holds, as the size budget counts it
+    # the classes, the gathers, and the phases and turns of each direction
+    # built: every array a lift at n holds, as the size budget counts it
     lift = lift_to_fock(dft_mode_matrix(), n)
-    classes, lam = modes._hopping_eigenbases(n)
-    held = [*classes, lam, *modes._gathers(n)]
-    for sweep in (lift.forward, lift.adjoint):
+    held = [*modes._hopping_eigenbases(n), *modes._gathers(n)]
+    for directions, sweep in enumerate((lift.forward, lift.adjoint), start=1):
         assert all(turn is not None for turn in sweep.turns)  # the Fourier matrix turns about every pair
         held += [*sweep.phases, *sweep.turns]
-    assert modes._lift_bytes(n) == sum(a.nbytes for a in held)
+        assert modes._lift_bytes(n, directions) == sum(a.nbytes for a in held)
+
+
+def test_a_lift_builds_each_direction_on_first_use():
+    # the cat's momentum distribution maps sites to modes only, so its lift
+    # holds the forward sweep alone; the fringe scan maps back to sites too
+    n = 6
+    dft_lift.cache_clear()
+    lift = dft_lift(n)
+    assert "forward" not in vars(lift) and "adjoint" not in vars(lift)
+    momentum_distribution(run_protocol(n).state)
+    assert "forward" in vars(lift) and "adjoint" not in vars(lift)
+    fringe_scan(n, 0.0, [0.1], 1.0)
+    assert dft_lift(n) is lift and "adjoint" in vars(lift)
 
 
 def test_eigenbasis_classes_hold_a_third_of_the_padded_floats():
@@ -354,10 +366,10 @@ def test_eigenbasis_classes_hold_a_third_of_the_padded_floats():
     assert held < 0.4 * 8 * (n + 1) ** 3  # 10.6 MB against 27.5 MB
     tracemalloc.start()
     try:
-        classes, _ = modes._hopping_eigenbases.__wrapped__(n)
+        classes = modes._hopping_eigenbases.__wrapped__(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sum(c.nbytes for c in classes) == held
-    # plus one eigh's workspace and the eigenvalues: 11.3 MB measured
+    # plus one eigh's workspace: 11.3 MB measured
     assert peak < 1.1 * held, f"peak {peak / held:.3f} of the classes"

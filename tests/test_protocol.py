@@ -306,9 +306,9 @@ def test_every_cat_search_refuses_a_particle_number_off_the_multiples_of_3(n):
 
 
 def arrays_in(result):
-    """Every array a cached result holds, through nested tuples and a lift's sweeps."""
+    """Every array a cached result holds, through nested tuples, a lift's angles and both its sweeps."""
     if isinstance(result, modes.FockLift):
-        result = tuple(s.phases + s.turns for s in (result.forward, result.adjoint))
+        result = (result.thetas, result.phis, *(s.phases + s.turns for s in (result.forward, result.adjoint)))
     if isinstance(result, tuple):
         for item in result:
             yield from arrays_in(item)
@@ -333,7 +333,7 @@ def test_cached_per_n_arrays_are_read_only():
                 checked[name] = checked.get(name, 0) + 1
     assert {"enumerate_basis", "_hopping_eigenbases", "_sweep_inputs", "_series_coefficients", "dft_lift",
             "_extremal_readout"} <= set(checked)
-    assert checked["_hopping_eigenbases"] == 4  # three classes and the eigenvalues
+    assert checked["_hopping_eigenbases"] == 3  # three classes; the eigenvalues are not kept
 
 
 def test_sweep_and_readout_share_one_cached_table():
@@ -382,6 +382,24 @@ def test_calibration_peak_width_matches_timing_tolerance():
     half_width = d0 * CAT_HOLD_PHASE
     value = cattiness_curve(n, np.array([CAT_HOLD_PHASE + half_width]))[0]
     assert value == pytest.approx(0.9, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [3, 30, 90])
+def test_timing_tolerance_is_the_exact_first_crossing_to_2e_9(n):
+    # in 40-digit arithmetic the cattiness is still above the target 2e-9
+    # before delta0 and already below it 2e-9 after (gaps to 0.9 of 2e-9 at
+    # n = 3 up to 7e-8 at n = 90), so the 1e-4/n scan and its bisection land
+    # on the exact first downward crossing
+    import mpmath
+
+    d0 = timing_tolerance(n, c_target=0.9)
+
+    def exact(delta):
+        with mpmath.workdps(40):
+            p_alpha, p_beta, p_gamma = mp_probabilities(n, (1.0 + delta) * CAT_HOLD_PHASE)
+            return 3 * mpmath.cbrt(p_alpha * p_beta * p_gamma)
+
+    assert exact(d0 - 2e-9) > 0.9 > exact(d0 + 2e-9)
 
 
 def test_calibration_peak_sharpens_with_n():

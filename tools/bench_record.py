@@ -24,7 +24,11 @@ than OLD by more than the metric's relative bound in BENCHMARK.json.
 A to B, alternating which checkout runs first.  It prints each pair, then
 per end-to-end metric each side's median and quartiles, in how many pairs
 NEW was better, and whether the medians differ by more than OLD's quartile
-spread.  T defaults to ``run_seconds``.
+spread.  Two verdicts follow.  ``gain`` applies the whole rule for claiming
+a gain: NEW better in at least 9 of 10 pairs, and its median better than
+OLD's by more than OLD's quartile spread; either half alone is passed by two
+copies of one tree often enough to mean nothing.  ``worse than bound`` is
+``compare``'s test on the medians.  T defaults to ``run_seconds``.
 
 ``bytes`` checks that two checkouts give the same output.  It takes every
 command of OLD's ``tests/golden.json``, the README commands and each
@@ -145,6 +149,12 @@ def record(root: Path) -> Path:
     return out
 
 
+def worse_by(metric: dict, old_median: float, new_median: float) -> float:
+    """How much worse NEW's median is than OLD's, relative to OLD's; negative when it is better."""
+    change = (new_median - old_median) / old_median
+    return change if metric["better"] == "lower" else -change
+
+
 def compare(old_path: Path, new_path: Path) -> None:
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
     spec = json.loads((HOME / "BENCHMARK.json").read_text())
@@ -157,7 +167,7 @@ def compare(old_path: Path, new_path: Path) -> None:
         for metric in spec["end_to_end"]:
             a, b = before["metrics"][metric["name"]], after["metrics"][metric["name"]]
             change = (b["median"] - a["median"]) / a["median"]
-            worse = change if metric["better"] == "lower" else -change
+            worse = worse_by(metric, a["median"], b["median"])
             spread = a["q3"] - a["q1"]
             print(f"  {metric['name']:12s} {a['median']:9.4g} [{a['q1']:.4g}, {a['q3']:.4g}] -> "
                   f"{b['median']:9.4g} [{b['q1']:.4g}, {b['q3']:.4g}] {metric['unit']:2s} {change:+7.2%}; "
@@ -184,10 +194,15 @@ def pairs(old_root: Path, new_root: Path, workload: str, seeds: range, seconds: 
         old, new = ([r[name]["value"] for r in runs[side]] for side in ("old", "new"))
         a, b = summary(old), summary(new)
         wins = sum((y < x) if metric["better"] == "lower" else (y > x) for x, y in zip(old, new))
+        beyond = abs(b["median"] - a["median"]) > a["q3"] - a["q1"]
+        worse = worse_by(metric, a["median"], b["median"])
+        gain = 10 * wins >= 9 * len(old) and beyond and worse < 0
         print(f"{name:12s} old {a['median']:.4g} [{a['q1']:.4g}, {a['q3']:.4g}], "
               f"new {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] {metric['unit']}, "
               f"{(b['median'] - a['median']) / a['median']:+.2%}; new better in {wins} of {len(old)} pairs; "
-              f"beyond old quartile spread: {'yes' if abs(b['median'] - a['median']) > a['q3'] - a['q1'] else 'no'}")
+              f"beyond old quartile spread: {'yes' if beyond else 'no'}; "
+              f"gain (9 of 10 pairs and beyond the spread): {'YES' if gain else 'no'}; "
+              f"worse than bound {metric['bound']:.0%}: {'YES' if worse > metric['bound'] else 'no'}")
 
 
 def bench_commands(root: Path, seeds: range) -> list[tuple[str, ...]]:
