@@ -208,6 +208,9 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
     if not (math.isfinite(j) and np.isfinite(xi_values).all()):
         raise ValueError(f"J and every xi must be finite, got J={j!r}")
     lift = dft_lift(n)
+    # a lift builds each direction on first use: build the adjoint before
+    # the scan's arrays, so that its temporaries do not stack on them
+    adjoint = lift.adjoint
     cat = lift.to_momentum(run_protocol(n).state).amps
     inverse_hold = _interaction_phases(n, 2.0 * CAT_HOLD_PHASE)
     rows = _block_rows(n)
@@ -225,7 +228,7 @@ def fringe_scan(n: int, j: float, xi_values, dt: float) -> FringeScan:
         else:
             np.multiply(cat, held, out=held)
         _check_norms(held)
-        final = lift.adjoint.apply(held, work)
+        final = adjoint.apply(held, work)
         del held
         final *= inverse_hold
         _check_norms(final)
