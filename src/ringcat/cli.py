@@ -60,7 +60,7 @@ _PHASE_CAP = PHASE_TOL / (2 * sys.float_info.epsilon)
 # Memory a command may hold at its peak; see _check_size.
 SIZE_BUDGET = 1 << 30
 # Each estimate is its counted bytes times 5/4.  Traced with tracemalloc at
-# N = 150, every command peaks at 1.01 to 1.16 times the bytes it counts.
+# N = 150, every command peaks at 1.02 to 1.13 times the bytes it counts.
 _SAFETY = (5, 4)
 # The argument parser and a run's small objects, whatever n: 0.249 MB traced at ``ground --n 3``.
 _PARSER_BYTES = 1 << 18
