@@ -5,6 +5,16 @@ basis of N bosons on three modes, the ring Bose-Hubbard operator and its
 limits, the quasi-momentum mode change and its N-particle lift, sudden
 quench-and-hold protocols that create three-branch flow superpositions, and
 the three-port interferometer they enable.
+
+``import ringcat`` loads ``basis``, ``state``, ``evolution``, ``modes`` and
+``protocol``, which every CLI command runs.  The names of ``interferometer``
+(the fringe scan and its closed forms) and of ``hamiltonian`` (the dense
+reference operators), and those two modules themselves, load on first
+access (PEP 562): reading ``ringcat.fringe_scan`` imports
+``ringcat.interferometer``.  Only ``fringes`` and the reference engines use
+them, and each CLI command is its own short process, so the other commands
+neither compile nor run them.  ``__all__`` and ``dir(ringcat)`` list every
+name.
 """
 
 import os
@@ -18,64 +28,39 @@ import os
 # how each call is split do not change, so no output bit does.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .basis import (
-    dimension,
-    enumerate_basis,
-    log_factorials,
-    multinomial_amplitude,
-    multinomial_amplitudes,
-    pair_counts,
-    rank,
-    unrank,
-)
-from .evolution import SpectralPropagator, evolve_interaction_phase, evolve_spectral
-from .hamiltonian import (
-    HermitianOperator,
-    HubbardParams,
-    build_bose_hubbard,
-    build_rotating_momentum_hamiltonian,
-)
-from .interferometer import (
-    FringeScan,
-    FringeSettings,
-    cat_matrix,
-    fringe_probabilities,
-    fringe_scan,
-    full_simulation_fringes,
-    phase_matrix,
-    protocol_subspace_matrix,
-)
-from .modes import (
-    FockLift,
-    dft_lift,
-    dft_mode_matrix,
-    extremal_columns,
-    extremal_mode_probabilities,
-    lift_to_fock,
-    momentum_distribution,
-)
-from .protocol import (
-    CAT_HOLD_PHASE,
-    BracketError,
-    PhysicsError,
-    ProtocolResult,
-    analytic_P3,
-    calibrate_u,
-    cattiness,
-    cattiness_curve,
-    cattiness_sweep,
-    run_protocol,
-    sweep_protocol_probabilities,
-    timing_tolerance,
-)
-from .state import (
-    NumericalHealthError,
-    Representation,
-    StateVector,
-    fock_state,
-    overlap,
-    site_number_distribution,
-    superfluid_ground_state,
-)
+from importlib import import_module
+
+from . import basis, evolution, modes, protocol, state
+from .basis import *
+from .evolution import *
+from .modes import *
+from .protocol import *
+from .state import *
+
+# each name loaded on first access (PEP 562), and the module it comes from
+_LAZY = {
+    **dict.fromkeys(("FringeScan", "FringeSettings", "cat_matrix", "fringe_probabilities", "fringe_scan",
+                     "full_simulation_fringes", "phase_matrix", "protocol_subspace_matrix"), "interferometer"),
+    **dict.fromkeys(("HermitianOperator", "HubbardParams", "build_bose_hubbard",
+                     "build_rotating_momentum_hamiltonian"), "hamiltonian"),
+}
+_LAZY_MODULES = ("hamiltonian", "interferometer")
+
+__all__ = [*basis.__all__, *state.__all__, *evolution.__all__, *modes.__all__, *protocol.__all__, *_LAZY,
+           "basis", "state", "evolution", "modes", "protocol", *_LAZY_MODULES]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Load a name of ``interferometer`` or ``hamiltonian``, or the module itself, on first access."""
+    if name in _LAZY_MODULES:
+        return import_module(f".{name}", __name__)  # importing binds it on the package
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -33,7 +32,6 @@ import sys
 import numpy as np
 
 from .basis import dimension, enumerate_basis
-from .interferometer import _scan_bytes, fringe_scan
 from .modes import _lift_bytes, _require_finite_columns, momentum_distribution
 from .protocol import (
     CAT_HOLD_PHASE,
@@ -144,6 +142,14 @@ def _footprint(args, n: int) -> dict[str, int]:
     """
     kets = dimension(n)
     ints = 56 * math.comb(max(n - 255, 0), 2)  # the values above 256 in two occupation columns
+
+    def fringes():
+        from .interferometer import _scan_bytes
+
+        # the cat and the doubled hold; a scan point 72, its 9 floats 288
+        return {"--n": (24 + 8 + 8 + 48 + 2 * 16) * kets + _lift_bytes(n, 2) + _scan_bytes(n),
+                "--grid": (72 + 288) * args.grid}
+
     # per ket: basis 24, amplitudes 8, pair counts 8, the readout table 48, a state 16,
     # a real vector 8; per row: 2 ints and a float 48, 4 floats and an int 136
     table = {
@@ -156,9 +162,7 @@ def _footprint(args, n: int) -> dict[str, int]:
         "timing": lambda: {"--n": (24 + 8 + 8 + 48 + 8) * kets + _timing_bytes(kets)},
         "calibrate-u": lambda: {"--n": (24 + 8 + 8 + 48 + 8) * kets + _sweep_bytes(args.grid, kets),
                                 "--grid": (16 + 64) * args.grid},
-        # the cat and the doubled hold; a scan point 72, its 9 floats 288
-        "fringes": lambda: {"--n": (24 + 8 + 8 + 48 + 2 * 16) * kets + _lift_bytes(n, 2) + _scan_bytes(n),
-                            "--grid": (72 + 288) * args.grid},
+        "fringes": fringes,
     }
     return table[args.command]()
 
@@ -196,13 +200,21 @@ def _csv_lines(table, rows, summary):
         yield f"# {key} = {_fmt(value)}\n"
 
 
-def _json_lines(command, table, rows, summary):
+def _json_lines(command, table, values, summary):
     """The text ``json.JSONEncoder(indent=2).iterencode`` gives for the payload, and a newline.
 
-    ``json.dumps`` writes the head and the summary.  Each row goes through
-    one ``%s`` template: ``str`` of a float or an int is its repr, and a
-    column with nan or inf arrives as ``json.dumps`` text.
+    ``json.dumps`` writes the head and the summary.  Each row, zipped from
+    the column lists ``values``, goes through one ``%s`` template: ``str`` of
+    a float or an int is its repr, and a column with nan or inf is first
+    replaced by its ``json.dumps`` text.  ``json`` is imported here, so only
+    JSON output loads it.
     """
+    import json
+
+    for i, column in enumerate(table.values()):
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            values[i] = list(map(json.dumps, values[i]))
+    rows = zip(*values)
     yield json.dumps({"command": command, "columns": list(table)}, indent=2)[:-2]  # without its closing "\n}"
     yield ',\n  "rows": ['
     template = ",\n    [\n      " + ",\n      ".join(["%s"] * len(table)) + "\n    ]"
@@ -228,10 +240,7 @@ def _emit(args, table, summary=None) -> None:
     """
     values = [column.tolist() for column in table.values()]
     if args.format == "json":
-        for i, column in enumerate(table.values()):
-            if column.dtype.kind == "f" and not np.isfinite(column).all():
-                values[i] = list(map(json.dumps, values[i]))
-        chunks = _json_lines(args.command, table, zip(*values), summary)
+        chunks = _json_lines(args.command, table, values, summary)
     else:
         chunks = _csv_lines(table, zip(*values), summary or {})
     if args.out == "-":
@@ -308,6 +317,8 @@ def cmd_calibrate_u(args) -> None:
 
 
 def cmd_fringes(args) -> None:
+    from .interferometer import fringe_scan
+
     _require_cat_number(args.n)
     if args.grid < 2 or args.xi <= 0 or args.dt <= 0:
         raise ValueError("need --grid >= 2, --xi > 0 and --dt > 0")
@@ -403,7 +414,7 @@ def entry() -> int:
     """Process entry of the ``ringcat`` script and of ``python -m ringcat.cli``.
 
     It freezes the collector's heap (``gc.freeze``) once the imports are done:
-    their ~21,600 tracked objects live until exit, and every full collection,
+    their ~21,100 tracked objects live until exit, and every full collection,
     in the run and at interpreter exit, would walk them again.  Objects the
     command makes are collected as before.  ``main`` itself does not freeze,
     so an in-process caller keeps its collector state.  A reader closing stdout

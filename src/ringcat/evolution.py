@@ -10,11 +10,15 @@ are sudden: the state is unchanged while the Hamiltonian switches form.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .basis import pair_counts
-from .hamiltonian import HermitianOperator
 from .state import Representation, StateVector
+
+if TYPE_CHECKING:  # an annotation only: ``hamiltonian`` is not loaded with this module
+    from .hamiltonian import HermitianOperator
 
 __all__ = [
     "evolve_interaction_phase",

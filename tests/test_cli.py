@@ -452,17 +452,18 @@ class Reached(Exception):
 
 
 # the commands that read out through the extremal columns stop where their
-# factor 3^(n/2) overflows a float, below their memory limits (2871, 1911, 3450)
+# factor 3^(n/2) overflows a float, below their memory limits (2871, 1911, 3450);
+# `fringes` reads its scan from the interferometer module when it runs
 @pytest.mark.parametrize(
     "argv, largest, step, stage, refusal",
     [
-        (("ground", "--n"), 3549, 1, "superfluid_ground_state", "memory budget"),
-        (("cat", "--n"), 650, 1, "run_protocol", "memory budget"),
-        (("cattiness-sweep", "--n-min", "1", "--n-max"), 1292, 1, "cattiness_sweep", "3^(n/2)"),
-        (("timing", "--n"), 1290, 3, "timing_tolerance", "3^(n/2)"),
-        (("calibrate-u", "--grid", "2048", "--n"), 1290, 3, "_calibrate_on_grid", "3^(n/2)"),
-        (("calibrate-u", "--n"), 1290, 3, "_calibrate_on_grid", "3^(n/2)"),
-        (("fringes", "--n"), 636, 3, "fringe_scan", "memory budget"),
+        (("ground", "--n"), 3549, 1, "ringcat.cli.superfluid_ground_state", "memory budget"),
+        (("cat", "--n"), 650, 1, "ringcat.cli.run_protocol", "memory budget"),
+        (("cattiness-sweep", "--n-min", "1", "--n-max"), 1292, 1, "ringcat.cli.cattiness_sweep", "3^(n/2)"),
+        (("timing", "--n"), 1290, 3, "ringcat.cli.timing_tolerance", "3^(n/2)"),
+        (("calibrate-u", "--grid", "2048", "--n"), 1290, 3, "ringcat.cli._calibrate_on_grid", "3^(n/2)"),
+        (("calibrate-u", "--n"), 1290, 3, "ringcat.cli._calibrate_on_grid", "3^(n/2)"),
+        (("fringes", "--n"), 636, 3, "ringcat.interferometer.fringe_scan", "memory budget"),
     ],
     ids=["ground", "cat", "cattiness-sweep", "timing", "calibrate-u-2048", "calibrate-u-121", "fringes"],
 )
@@ -470,7 +471,7 @@ def test_size_budget_sets_each_commands_largest_n(argv, largest, step, stage, re
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(cli, stage, reached)
+    monkeypatch.setattr(stage, reached)
     with pytest.raises(Reached):
         run_cli(*argv, str(largest))
     assert run_cli(*argv, str(largest + step)) == 2
@@ -640,6 +641,33 @@ def test_process_entry_freezes_the_import_heap(tmp_path):
     assert child.stdout == f"wrote {out} (10 rows)\n"
     label, count = child.stderr.split()
     assert label == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ("ground --n 3", []),
+        ("cat --n 3", []),
+        ("cattiness-sweep --n-min 1 --n-max 4", []),
+        ("timing --n 3", []),
+        ("calibrate-u --n 3 --grid 5", []),
+        ("fringes --n 3 --grid 4", ["ringcat.hamiltonian", "ringcat.interferometer"]),
+        ("cat --n 3 --format json", ["json"]),
+    ],
+    ids=["ground", "cat", "cattiness-sweep", "timing", "calibrate-u", "fringes", "cat-json"],
+)
+def test_each_command_loads_the_interferometer_the_hamiltonian_and_json_only_if_it_runs_them(argv, loaded, tmp_path):
+    # one fresh process per command, as the `ringcat` script runs them
+    home = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {home!r}); from ringcat import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, *(m for m in ('json', 'ringcat.hamiltonian', 'ringcat.interferometer') if m in sys.modules))"
+    )
+    out = tmp_path / "table"
+    child = subprocess.run([sys.executable, "-c", code, *argv.split(), "--out", str(out)],
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1].split() == ["0", *loaded]
 
 
 def test_console_script_is_the_process_entry():

@@ -205,14 +205,19 @@ def test_golden_numbers_hold_under_forced_kernels():
 
 
 def test_import_sets_the_openblas_thread_timeout_unless_preset():
-    """``import ringcat`` before numpy leaves OpenBLAS's idle worker a 2^4-cycle spin; a preset value is kept."""
-    code = ("import ringcat, ctypes, test_golden; "
-            "print(test_golden.openblas_query('openblas_thread_timeout', ctypes.c_int))")
+    """Importing ringcat before numpy leaves OpenBLAS's idle worker a 2^4-cycle spin; a preset value is kept.
+
+    A first import of ``ringcat.interferometer``, which ``import ringcat``
+    does not load, runs the package's ``__init__`` first and so sets it too.
+    """
     unset = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
-    for preset, expected in ((None, "4"), ("28", "28")):
-        child = run_child(code, unset if preset is None else {**unset, "OPENBLAS_THREAD_TIMEOUT": preset})
-        assert child.returncode == 0, child.stdout[-4000:]
-        assert child.stdout.split() == [expected], child.stdout
+    for first in ("ringcat", "ringcat.interferometer"):
+        code = (f"import {first}, ctypes, test_golden; "
+                "print(test_golden.openblas_query('openblas_thread_timeout', ctypes.c_int))")
+        for preset, expected in ((None, "4"), ("28", "28")):
+            child = run_child(code, unset if preset is None else {**unset, "OPENBLAS_THREAD_TIMEOUT": preset})
+            assert child.returncode == 0, child.stdout[-4000:]
+            assert child.stdout.split() == [expected], (first, child.stdout)
 
 
 if __name__ == "__main__":

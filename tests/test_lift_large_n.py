@@ -6,11 +6,15 @@ The lifts are built fresh, not taken from the ``dft_lift`` cache, which
 other tests fill with dense matrices.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from ringcat.basis import dimension, enumerate_basis, rank
+from ringcat.basis import dimension, enumerate_basis, multinomial_amplitudes, rank
 from ringcat.modes import dft_mode_matrix, extremal_columns, lift_to_fock
+from ringcat.protocol import run_protocol
 from ringcat.state import Representation, StateVector, fock_state, superfluid_ground_state
 
 SIZES = (30, 90, 150)
@@ -98,4 +102,61 @@ def test_dft_lift_squared_swaps_the_flow_modes_and_takes_the_ground_to_one_ket(n
     assert abs(abs(out[0]) - np.linalg.norm(ground)) < 8 * EPS
     assert abs(np.angle(out[0])) < 4 * n * EPS
     assert np.max(np.abs(out[1:])) < APPLY_TOL
+    assert_matrix_free(lift)
+
+
+def permuted_ranks(n, perm):
+    """The index of each ket's occupations permuted by ``perm``, over the canonical basis."""
+    occ = enumerate_basis(n)
+    index = np.empty((n + 1, n + 1), dtype=np.intp)
+    index[occ[:, 0], occ[:, 1]] = np.arange(len(occ))
+    moved = occ[:, perm]
+    return index[moved[:, 0], moved[:, 1]]
+
+
+def orbit_gap_bound(n):
+    # An amplitude is exp(x) with x = 0.5 * (L_n - L_a - L_b - L_c) - 0.5 * n * log 3,
+    # L_k = log(k!) read from one table, so a permuted ket sums the same four
+    # entries in another order.  Each of the three subtractions rounds a value
+    # in [0, L_n] by at most L_n * eps/2, and the last one a value of size at
+    # most 0.55 * n, so two such exponents differ by at most
+    # (1.5 * L_n + 0.55 * n) * eps; the two exps add about an eps each.  For
+    # n >= 30 that is under 2 * L_n * eps, relative to the amplitude.
+    return 2 * math.lgamma(n + 1) * EPS
+
+
+@pytest.mark.parametrize("n", [30, 90, 300])
+def test_ground_amplitudes_keep_the_six_site_permutations_to_their_log_gamma_rounding(n):
+    # measured: 0.43, 0.50 and 0.54 times log(n!) * eps at n = 30, 90 and 300
+    ground = multinomial_amplitudes(n)
+    for perm in itertools.permutations(range(3)):
+        gap = np.max(np.abs(ground[permuted_ranks(n, perm)] - ground) / ground)
+        assert gap <= orbit_gap_bound(n), (perm, gap / EPS)
+
+
+@pytest.mark.parametrize("n", [30, 90, 300])
+def test_cat_momentum_distribution_keeps_the_quasi_momentum_selection_rules(n):
+    # The cyclic site shift commutes with the on-site hold and fixes the
+    # ground, so the cat carries quasi-momentum 0: its momentum distribution
+    # is exactly 0 on every ket with n_beta - n_gamma not divisible by 3, and
+    # the floats hold only two things there.  (i) The input's Z3-charged part,
+    # whose norm is at most the ground's largest relative orbit gap
+    # (``orbit_gap_bound``) plus about 2 eps from the hold's phase multiply;
+    # the hold's phases come from the pair counts, equal on an orbit, so they
+    # are equal bits.  (ii) The lift's own rounding: each amplitude passes
+    # three two-mode rotations, each a product by an eigenbasis and one by its
+    # transpose, six sums of at most n + 1 terms.  As in the Z3 test, a k-term
+    # sum errs by at most k * eps of the norm it carries (Higham, Accuracy and
+    # Stability, section 3.1) and the roundings of the terms, the phases and
+    # the eigenbases fit in the slack of that worst case.  So the forbidden
+    # amplitudes have norm at most orbit_gap_bound + (6 * (n + 1) + 2) * eps,
+    # and their summed probability at most its square.  This is the output of
+    # the ``cat`` command: ``momentum_distribution`` applies this same lift.
+    lift = lift_to_fock(dft_mode_matrix(), n)
+    dist = lift.to_momentum(run_protocol(n).state).probabilities()
+    occ = enumerate_basis(n)
+    forbidden = (occ[:, 1] - occ[:, 2]) % 3 != 0
+    leak = float(np.sum(dist[forbidden]))
+    # measured: 1.9e-29, 1.5e-28 and 1.5e-27 at n = 30, 90 and 300
+    assert leak <= (orbit_gap_bound(n) + (6 * (n + 1) + 2) * EPS) ** 2, leak
     assert_matrix_free(lift)
