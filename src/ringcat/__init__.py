@@ -9,12 +9,12 @@ the three-port interferometer they enable.
 ``import ringcat`` loads ``basis``, ``state``, ``evolution``, ``modes`` and
 ``protocol``, which every CLI command runs.  The names of ``interferometer``
 (the fringe scan and its closed forms) and of ``hamiltonian`` (the dense
-reference operators), and those two modules themselves, load on first
-access (PEP 562): reading ``ringcat.fringe_scan`` imports
-``ringcat.interferometer``.  Only ``fringes`` and the reference engines use
-them, and each CLI command is its own short process, so the other commands
-neither compile nor run them.  ``__all__`` and ``dir(ringcat)`` list every
-name.
+reference operators and their propagator), and those two modules themselves,
+load on first access (PEP 562): reading ``ringcat.fringe_scan`` imports
+``ringcat.interferometer``.  Only ``fringes`` runs the interferometer, and
+no command runs the reference engines; each CLI command is its own short
+process, so the others neither compile nor run them.  ``__all__`` and
+``dir(ringcat)`` list every name.
 """
 
 import os
@@ -41,8 +41,8 @@ from .state import *
 _LAZY = {
     **dict.fromkeys(("FringeScan", "FringeSettings", "cat_matrix", "fringe_probabilities", "fringe_scan",
                      "full_simulation_fringes", "phase_matrix", "protocol_subspace_matrix"), "interferometer"),
-    **dict.fromkeys(("HermitianOperator", "HubbardParams", "build_bose_hubbard",
-                     "build_rotating_momentum_hamiltonian"), "hamiltonian"),
+    **dict.fromkeys(("HermitianOperator", "HubbardParams", "SpectralPropagator", "build_bose_hubbard",
+                     "build_rotating_momentum_hamiltonian", "evolve_spectral"), "hamiltonian"),
 }
 _LAZY_MODULES = ("hamiltonian", "interferometer")
 

@@ -1,30 +1,20 @@
-"""Time evolution engines.
+"""The diagonal holds the commands run (hbar = 1, e^{-iHt} throughout).
 
-The convention is e^{-iHt} throughout (hbar = 1).  Interaction-only holds
-evolve by exact site-basis phases, and the interferometer's sensing hold
-applies its mode-energy phases directly.  ``SpectralPropagator`` is the one
-dense reference propagator: any Hermitian operator evolves through an
-eigendecomposition, cheap at this basis size and exactly unitary.  Quenches
-are sudden: the state is unchanged while the Hamiltonian switches form.
+Each hold of the protocol is diagonal in a known basis, so it evolves by
+exact phases: the interaction hold in the site basis, the interferometer's
+rotating sensing hold by its mode energies in the momentum basis.  Quenches
+are sudden: the state is unchanged while the Hamiltonian switches form.  The
+dense reference propagator sits with its operators in ``hamiltonian``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .basis import pair_counts
+from .basis import enumerate_basis, pair_counts
 from .state import Representation, StateVector
 
-if TYPE_CHECKING:  # an annotation only: ``hamiltonian`` is not loaded with this module
-    from .hamiltonian import HermitianOperator
-
-__all__ = [
-    "evolve_interaction_phase",
-    "SpectralPropagator",
-    "evolve_spectral",
-]
+__all__ = ["evolve_interaction_phase"]
 
 
 def evolve_interaction_phase(s: StateVector, ut: float) -> StateVector:
@@ -43,31 +33,11 @@ def _interaction_phases(n: int, ut: float) -> np.ndarray:
     return np.exp(-0.5j * ut * pair_counts(n))
 
 
-class SpectralPropagator:
-    """Reusable e^{-iHt} engine for one Hermitian operator.
+def _mode_energies(n: int, j: float, xi) -> np.ndarray:
+    """Diagonal of the mode-number Hamiltonian over the canonical basis.
 
-    The dense reference propagator: the operator is checked for Hermiticity
-    and eigendecomposed once, and the decomposition serves every time.
+    ``xi`` is a float, giving shape (dim,), or a column of shape (m, 1),
+    giving one row of energies per coupling with the same bits.
     """
-
-    def __init__(self, op: HermitianOperator):
-        dense = op.to_dense()
-        defect = np.max(np.abs(dense - dense.conj().T))
-        if defect > 1e-12:
-            raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
-        self.op = op
-        self._evals, self._evecs = np.linalg.eigh(dense)
-
-    def evolve(self, s: StateVector, t: float) -> StateVector:
-        if s.amps.shape[0] != self.op.dim:
-            raise ValueError(f"dimension mismatch: state {s.amps.shape[0]}, operator {self.op.dim}")
-        if s.rep is not self.op.rep:
-            raise ValueError(f"representation mismatch: state {s.rep}, operator {self.op.rep}")
-        evecs = self._evecs
-        amps = evecs @ (np.exp(-1j * t * self._evals) * (evecs.conj().T @ s.amps))
-        return StateVector(s.n, s.rep, amps)
-
-
-def evolve_spectral(s: StateVector, op: HermitianOperator, t: float) -> StateVector:
-    """One-shot e^{-iHt} evolution of ``s`` under ``op``."""
-    return SpectralPropagator(op).evolve(s, t)
+    occ = enumerate_basis(n)
+    return -2.0 * j * occ[:, 0] + (j + xi) * occ[:, 1] + (j - xi) * occ[:, 2]

@@ -7,7 +7,10 @@ observables.
 
 Operators are stored as deterministic sparse triplet lists over the
 canonical Fock basis of a single particle-number sector, so they commute
-with total number by construction.
+with total number by construction.  ``SpectralPropagator`` is their dense
+reference propagator, exactly unitary through one eigendecomposition.  No
+command loads this module: tests check ``evolution``'s diagonal holds
+against it.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import dimension, enumerate_basis, rank
-from .state import Representation
+from .evolution import _mode_energies
+from .state import Representation, StateVector
 
 __all__ = [
     "HubbardParams",
     "HermitianOperator",
     "build_bose_hubbard",
     "build_rotating_momentum_hamiltonian",
+    "SpectralPropagator",
+    "evolve_spectral",
 ]
 
 # directed hops (src, dst) realizing a_dst^dag a_src for all cyclically
@@ -116,11 +122,31 @@ def build_rotating_momentum_hamiltonian(p: HubbardParams) -> HermitianOperator:
     return HermitianOperator(idx.size, idx, idx, energies, Representation.MOMENTUM)
 
 
-def _mode_energies(n: int, j: float, xi) -> np.ndarray:
-    """Diagonal of the mode-number Hamiltonian over the canonical basis.
+class SpectralPropagator:
+    """Reusable e^{-iHt} engine for one Hermitian operator.
 
-    ``xi`` is a float, giving shape (dim,), or a column of shape (m, 1),
-    giving one row of energies per coupling with the same bits.
+    The dense reference propagator: the operator is checked for Hermiticity
+    and eigendecomposed once, and the decomposition serves every time.
     """
-    occ = enumerate_basis(n)
-    return -2.0 * j * occ[:, 0] + (j + xi) * occ[:, 1] + (j - xi) * occ[:, 2]
+
+    def __init__(self, op: HermitianOperator):
+        dense = op.to_dense()
+        defect = np.max(np.abs(dense - dense.conj().T))
+        if defect > 1e-12:
+            raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
+        self.op = op
+        self._evals, self._evecs = np.linalg.eigh(dense)
+
+    def evolve(self, s: StateVector, t: float) -> StateVector:
+        if s.amps.shape[0] != self.op.dim:
+            raise ValueError(f"dimension mismatch: state {s.amps.shape[0]}, operator {self.op.dim}")
+        if s.rep is not self.op.rep:
+            raise ValueError(f"representation mismatch: state {s.rep}, operator {self.op.rep}")
+        evecs = self._evecs
+        amps = evecs @ (np.exp(-1j * t * self._evals) * (evecs.conj().T @ s.amps))
+        return StateVector(s.n, s.rep, amps)
+
+
+def evolve_spectral(s: StateVector, op: HermitianOperator, t: float) -> StateVector:
+    """One-shot e^{-iHt} evolution of ``s`` under ``op``."""
+    return SpectralPropagator(op).evolve(s, t)

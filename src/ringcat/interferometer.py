@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import _interaction_phases, evolve_interaction_phase
-from .hamiltonian import _mode_energies
+from .evolution import _interaction_phases, _mode_energies, evolve_interaction_phase
 from .modes import _extremal_probabilities, _extremal_readout, dft_lift
 from .protocol import CAT_HOLD_PHASE, _require_cat_number, run_protocol
 from .state import Representation, StateVector, _check_norms

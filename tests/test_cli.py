@@ -651,7 +651,7 @@ def test_process_entry_freezes_the_import_heap(tmp_path):
         ("cattiness-sweep --n-min 1 --n-max 4", []),
         ("timing --n 3", []),
         ("calibrate-u --n 3 --grid 5", []),
-        ("fringes --n 3 --grid 4", ["ringcat.hamiltonian", "ringcat.interferometer"]),
+        ("fringes --n 3 --grid 4", ["ringcat.interferometer"]),
         ("cat --n 3 --format json", ["json"]),
     ],
     ids=["ground", "cat", "cattiness-sweep", "timing", "calibrate-u", "fringes", "cat-json"],

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ringcat.basis import dimension, enumerate_basis, rank
-from ringcat.evolution import SpectralPropagator, evolve_interaction_phase, evolve_spectral
+from ringcat.evolution import evolve_interaction_phase
 from ringcat.hamiltonian import (
     HermitianOperator,
     HubbardParams,
+    SpectralPropagator,
     build_bose_hubbard,
     build_rotating_momentum_hamiltonian,
+    evolve_spectral,
 )
 from ringcat.state import Representation, StateVector, fock_state, overlap, superfluid_ground_state
 

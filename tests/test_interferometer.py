@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ringcat.basis import rank
-from ringcat.evolution import _interaction_phases, evolve_interaction_phase, evolve_spectral
-from ringcat.hamiltonian import HubbardParams, _mode_energies, build_rotating_momentum_hamiltonian
+from ringcat.evolution import _interaction_phases, _mode_energies, evolve_interaction_phase
+from ringcat.hamiltonian import HubbardParams, build_rotating_momentum_hamiltonian, evolve_spectral
 from ringcat.interferometer import (
     FringeSettings,
     _block_rows,

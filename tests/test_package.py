@@ -57,9 +57,11 @@ def test_a_lazy_name_loads_its_module_on_first_access():
         "print(*(m in sys.modules for m in lazy)); "
         "scan = ringcat.fringe_scan; "
         "print(*(m in sys.modules for m in lazy), scan is sys.modules['ringcat.interferometer'].fringe_scan); "
+        "prop = ringcat.SpectralPropagator; "
+        "print(*(m in sys.modules for m in lazy), prop is sys.modules['ringcat.hamiltonian'].SpectralPropagator); "
         "print(ringcat.hamiltonian is sys.modules['ringcat.hamiltonian'])"
     )
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    # the interferometer's own imports load the hamiltonian too
-    assert child.stdout.splitlines() == ["False False", "True True True", "True"]
+    # the interferometer runs its holds from ``evolution``, so it loads no hamiltonian
+    assert child.stdout.splitlines() == ["False False", "False True True", "True True True", "True"]
